@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"nrmi/internal/bench"
 	"nrmi/internal/netsim"
 	"nrmi/internal/obs"
+	"nrmi/internal/rmi"
 	"nrmi/internal/wire"
 )
 
@@ -39,6 +41,9 @@ func runObsSmoke(maxOverheadPct float64) error {
 		return fmt.Errorf("obs-smoke: workload: %w", err)
 	}
 	callNs := cell.Millis * 1e6
+	if err := runObsSmokeAsync(e, spec); err != nil {
+		return err
+	}
 
 	// Serve the observer on a real listener and scrape it over TCP, the
 	// way an operator would.
@@ -74,6 +79,38 @@ func runObsSmoke(maxOverheadPct float64) error {
 		obs.MetricsPath, len(snap.Methods), obs.TracesPath, len(traces))
 	if overhead > maxOverheadPct {
 		return fmt.Errorf("obs-smoke: disabled-path overhead %.3f%% exceeds the %.1f%% gate", overhead, maxOverheadPct)
+	}
+	return nil
+}
+
+// runObsSmokeAsync issues the same scenario-III calls as promises —
+// pipelined, then consumed in order — so the export also carries the
+// promise path's async-issue and async-await phases. Each restore is
+// verified like the synchronous workload's.
+func runObsSmokeAsync(e *bench.Env, spec bench.RunSpec) error {
+	const calls = 4
+	ctx := context.Background()
+	stub := e.Client.Stub(bench.ServerAddr, "nrmi")
+	worlds := make([]*bench.RWorld, calls)
+	scripts := make([]bench.Script, calls)
+	ps := make([]*rmi.Promise, calls)
+	for i := range ps {
+		w, script := bench.NewWorld(spec.Scenario, spec.Seed+int64(i), spec.Size)
+		worlds[i], scripts[i] = bench.ToRWorld(w), script
+		p, err := stub.CallAsync(ctx, "Apply", worlds[i].Root, script)
+		if err != nil {
+			return fmt.Errorf("obs-smoke: async issue %d: %w", i, err)
+		}
+		ps[i] = p
+	}
+	for i, p := range ps {
+		if _, err := p.Wait(ctx); err != nil {
+			return fmt.Errorf("obs-smoke: async call %d: %w", i, err)
+		}
+		want := bench.Expected(spec.Scenario, spec.Seed+int64(i), spec.Size, scripts[i])
+		if err := bench.Verify(worlds[i].ToWorld(), want); err != nil {
+			return fmt.Errorf("obs-smoke: async call %d: %w", i, err)
+		}
 	}
 	return nil
 }

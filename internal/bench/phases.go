@@ -48,22 +48,22 @@ func (c PhasesConfig) withDefaults() PhasesConfig {
 // of the report.
 var phaseOrder = []obs.Phase{
 	obs.PhaseEncode,
+	obs.PhaseMapWalk,
 	obs.PhaseTransport,
 	obs.PhaseSrvDecode,
 	obs.PhaseSrvPrepare,
 	obs.PhaseSrvSnapshot,
 	obs.PhaseSrvExecute,
 	obs.PhaseSrvEncode,
-	obs.PhaseMapWalk,
 	obs.PhaseDecodeReply,
 	obs.PhaseRestoreCommit,
 }
 
 // clientPhases are the phases whose means sum to (roughly) the whole call
 // as the client experiences it; PhaseTransport already contains the server
-// pipeline and the network.
+// pipeline and the network, and PhaseEncode contains PhaseMapWalk.
 var clientPhases = []obs.Phase{
-	obs.PhaseEncode, obs.PhaseMapWalk, obs.PhaseTransport,
+	obs.PhaseEncode, obs.PhaseTransport,
 	obs.PhaseDecodeReply, obs.PhaseRestoreCommit,
 }
 

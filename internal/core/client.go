@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"sync"
 
 	"nrmi/internal/graph"
@@ -21,32 +20,36 @@ type Call struct {
 	enc  *wire.Encoder
 
 	// oc is the per-call observability collector (nil when disabled); the
-	// client-side core phases — linear-map walk, reply decode, restore
+	// client-side core phases — restore-set capture, reply decode, restore
 	// commit — record their spans on it.
 	oc *obs.Call
 
 	// restorableRoots records the root values of restorable parameters, in
-	// encode order, for diagnostics and tests.
+	// encode order, for the walk-rule fallback of the restore set.
 	restorableRoots []reflect.Value
 	numRestorable   int
-	finished        bool
+	// set is the restore set, fixed by Finish from what the encoder
+	// registered: the response is applied against the issue-time object
+	// set even if the caller's graph changes before ApplyResponse.
+	set      restoreSet
+	finished bool
 	// pooled records that enc came from the codec pool and must go back.
 	pooled bool
 
-	// commitMu, when set, is held for the whole response apply: map
-	// re-walk, validate, and commit. The walk and validation *read* the
-	// caller's argument graph, and two concurrently consumed calls may
-	// share objects in that graph — so reads must not interleave with
-	// another call's commit writes, and commits must not interleave with
-	// each other. Promise layers install one lock per client; whole calls
-	// then apply serially, in consumption order.
+	// commitMu, when set, is held for the whole response apply: validate
+	// and commit. Validation *reads* the caller's argument graph, and two
+	// concurrently consumed calls may share objects in that graph — so
+	// reads must not interleave with another call's commit writes, and
+	// commits must not interleave with each other. Promise layers install
+	// one lock per client; whole calls then apply serially, in consumption
+	// order.
 	commitMu sync.Locker
 }
 
 // SetCommitLock installs a lock serializing this call's response apply
-// (graph walk, validation, restore commit) against other calls sharing
-// the same lock. A call that carries no restorable arguments does not
-// need it: it neither re-reads nor overwrites caller state.
+// (validation, restore commit) against other calls sharing the same
+// lock. A call that carries no restorable arguments does not need it: it
+// neither re-reads nor overwrites caller state.
 func (c *Call) SetCommitLock(mu sync.Locker) { c.commitMu = mu }
 
 // NumRestorable reports how many restorable arguments were encoded — the
@@ -84,6 +87,7 @@ func (c *Call) Release() {
 	c.enc = nil
 	c.oc = nil
 	c.restorableRoots = nil
+	c.set = restoreSet{}
 	c.commitMu = nil
 }
 
@@ -108,9 +112,11 @@ func (c *Call) EncodeRestorable(v any) error {
 	if v != nil && !graph.IsIdentityKind(rv.Kind()) {
 		return fmt.Errorf("core: restorable argument must be a pointer, map, or slice, got %T", v)
 	}
+	before := len(c.enc.Objects())
 	if err := c.enc.Encode(v); err != nil {
 		return err
 	}
+	c.set.noteRestorable(before, len(c.enc.Objects()))
 	c.restorableRoots = append(c.restorableRoots, rv)
 	c.numRestorable++
 	return nil
@@ -124,12 +130,26 @@ func (c *Call) EncodeUint(v uint64) error { return c.enc.EncodeUint(v) }
 // the request stream.
 func (c *Call) EncodeString(s string) error { return c.enc.EncodeString(s) }
 
-// Finish flushes the request stream. After Finish the Call waits for
-// ApplyResponse. Under Options.ShipLinearMap it first appends the explicit
-// linear-map section (an object count followed by one entry per object)
-// that optimization 1 normally makes redundant.
+// Finish fixes the restore set and flushes the request stream. After
+// Finish the Call waits for ApplyResponse. Under Options.ShipLinearMap it
+// first appends the explicit linear-map section (an object count followed
+// by one entry per object) that optimization 1 normally makes redundant.
 func (c *Call) Finish() error {
 	c.finished = true
+	if c.numRestorable > 0 {
+		// Under the prefix rule the set was captured while encoding and
+		// the span is near-empty; only the walk rule traverses here.
+		sp := c.oc.Start(obs.PhaseMapWalk)
+		var err error
+		if c.set.walk {
+			// Walk at issue time, while the graph is the one just encoded.
+			c.set.ids, err = walkSet(c.restorableRoots, c.opts.Access, c.opts.kernelsEnabled(), nil, c.enc.IDOf)
+		}
+		sp.EndN(0, int64(c.set.Len()))
+		if err != nil {
+			return err
+		}
+	}
 	if c.opts.ShipLinearMap {
 		objs := c.enc.Objects()
 		if err := c.enc.EncodeUint(uint64(len(objs))); err != nil {
@@ -164,41 +184,6 @@ type Response struct {
 	BytesReceived int64
 }
 
-// restorableSet walks the restorable argument roots and returns the stream
-// IDs of every reachable object, ascending: the same set the server's
-// Prepare computes, so the two endpoints agree on the restore-protocol
-// object numbering without exchanging it. Only this subset is seeded into
-// the response decoder: by-copy argument objects must decode as fresh
-// copies, exactly as under plain RMI.
-func (c *Call) restorableSet() ([]int, error) {
-	var w *graph.Walker
-	if c.opts.kernelsEnabled() {
-		w = graph.AcquireWalker(c.opts.Access)
-		defer graph.ReleaseWalker(w)
-	} else {
-		w = graph.NewWalker(c.opts.Access)
-		w.NoKernels = true
-	}
-	for _, root := range c.restorableRoots {
-		if !root.IsValid() {
-			continue
-		}
-		if err := w.RootValue(root); err != nil {
-			return nil, fmt.Errorf("core: walking restorable arguments: %w", err)
-		}
-	}
-	ids := make([]int, 0, w.LinearMap().Len())
-	for _, obj := range w.LinearMap().Objects() {
-		id, ok := c.enc.IDOf(obj.Ref)
-		if !ok {
-			return nil, fmt.Errorf("%w: restorable object missing from request table", ErrBadResponse)
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
-}
-
 // pendingRestore pairs a seeded original with its validated "modified
 // version". Under engines V1/V2 that is a decoded staging temporary (tmp);
 // under engine V3 it is a zero-copy content record (flat) still sitting in
@@ -213,8 +198,9 @@ type pendingRestore struct {
 // ApplyResponse reads the server's restore section and return values from r
 // and performs the in-place restore: afterwards every client-side alias of
 // every pre-call object observes the server's mutations. It implements
-// steps 4–6 of the paper's algorithm in a single pass, recording the
-// map-walk, decode, and commit phases on the attached collector.
+// steps 4–6 of the paper's algorithm in a single pass against the restore
+// set Finish fixed, recording the decode and commit phases on the attached
+// collector.
 func (c *Call) ApplyResponse(r io.Reader) (*Response, error) {
 	kernels := c.opts.kernelsEnabled()
 	var dec *wire.Decoder
@@ -247,22 +233,14 @@ func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
 
 func (c *Call) apply(dec *wire.Decoder, kernels bool) (*Response, error) {
 	if c.commitMu != nil {
-		// See the commitMu field comment: the map walk and validation read
-		// objects a concurrently applying call may be committing into, so
-		// the whole apply serializes, not just the overwrite phase.
+		// See the commitMu field comment: validation reads objects a
+		// concurrently applying call may be committing into, so the whole
+		// apply serializes, not just the overwrite phase.
 		c.commitMu.Lock()
 		defer c.commitMu.Unlock()
 	}
-	sp := c.oc.Start(obs.PhaseMapWalk)
-	set, err := c.restorableSet()
-	sp.EndN(0, int64(len(set)))
-	if err != nil {
-		dec.ReleaseArena()
-		return nil, err
-	}
-
-	sp = c.oc.Start(obs.PhaseDecodeReply)
-	updates, rets, numSeeded, err := c.decodeReply(dec, set)
+	sp := c.oc.Start(obs.PhaseDecodeReply)
+	updates, rets, numSeeded, err := c.decodeReply(dec)
 	sp.EndN(dec.BytesRead(), int64(len(updates)))
 	if err != nil {
 		// Abandon the response with the caller's graph untouched: drop the
@@ -307,18 +285,16 @@ func releaseFlats(updates []pendingRestore) {
 
 // decodeReply seeds the response decoder and consumes the restore section
 // and return values, leaving the commit to the caller.
-func (c *Call) decodeReply(dec *wire.Decoder, set []int) (updates []pendingRestore, rets []any, numSeeded int, err error) {
-	// Seed the response decoder with the restorable subset of the request
-	// object table, in ascending stream-ID order: references to those IDs
-	// must resolve to the original client objects, while everything else
-	// (including returned by-copy argument data) materializes fresh.
-	seeded := make([]reflect.Value, 0, len(set))
-	for _, id := range set {
-		obj := c.enc.Objects()[id]
-		if _, err := dec.SeedObject(obj); err != nil {
+func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []any, numSeeded int, err error) {
+	// Seed the response decoder with the restore set, in ascending
+	// stream-ID order: references to those IDs must resolve to the
+	// original client objects, while everything else (including returned
+	// by-copy argument data) materializes fresh.
+	objs := c.enc.Objects()
+	for i := 0; i < c.set.Len(); i++ {
+		if _, err := dec.SeedObject(objs[c.set.id(i)]); err != nil {
 			return nil, nil, 0, err
 		}
-		seeded = append(seeded, obj)
 	}
 	numSeeded = dec.NumSeeded()
 
@@ -347,14 +323,14 @@ func (c *Call) decodeReply(dec *wire.Decoder, set []int) (updates []pendingResto
 			if err != nil {
 				return updates, nil, numSeeded, fmt.Errorf("core: decoding content for object %d: %w", id, err)
 			}
-			updates = append(updates, pendingRestore{orig: seeded[id], flat: fc})
+			updates = append(updates, pendingRestore{orig: objs[c.set.id(int(id))], flat: fc})
 			continue
 		}
 		tmp, err := dec.DecodeSeededContent(int(id))
 		if err != nil {
 			return updates, nil, numSeeded, fmt.Errorf("core: decoding content for object %d: %w", id, err)
 		}
-		updates = append(updates, pendingRestore{orig: seeded[id], tmp: tmp})
+		updates = append(updates, pendingRestore{orig: objs[c.set.id(int(id))], tmp: tmp})
 	}
 
 	// Return values decode against the same table: aliasing between

@@ -9,12 +9,15 @@
 //     in first-encounter order — IS the linear map (step 1). Because the
 //     decoder reconstructs the table in the same order, the map never
 //     crosses the wire (the paper's optimization 1, Section 5.2.4).
-//  2. The server decodes the arguments (step 2) and, before invoking the
-//     method, walks the restorable roots to fix the set of "old" objects.
+//  2. The server decodes the arguments (step 2). The set of "old" objects
+//     is fixed before the method runs, captured during the codec pass on
+//     both endpoints alike: the ID prefix the restorable arguments
+//     registered (restoreset.go), with a walk of the restorable roots only
+//     when a by-copy argument with objects precedes them.
 //  3. The method runs at full native speed: no read/write barriers, no
 //     network traffic (the paper's central efficiency claim).
-//  4. The server encodes a response whose encoder is seeded with the full
-//     decode-time object table, then ships one content record per old
+//  4. The server encodes a response whose encoder is seeded with the old
+//     objects of the decode-time object table, then ships one content record per old
 //     object — even objects the method unlinked — plus, inline, any new
 //     objects now referenced (step 3).
 //  5. The client decodes each content record into a temporary "modified

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 
 	"nrmi/internal/graph"
 	"nrmi/internal/obs"
@@ -19,16 +18,18 @@ type ServerCall struct {
 	dec  *wire.Decoder
 
 	// oc is the per-call observability collector (nil when disabled); the
-	// server-side core phases — prepare walk and delta snapshot — record
-	// their spans on it.
+	// server-side core phases — prepare and delta snapshot — record their
+	// spans on it.
 	oc *obs.Call
 
 	restorableRoots []reflect.Value
 
-	// restoreIDs is the pre-call set of object IDs reachable from the
-	// restorable roots, ascending — the server's linear map subset.
-	restoreIDs []int
-	// identToID maps decode-time object identity to stream ID.
+	// set is the pre-call restore set — the server's linear map subset —
+	// captured while decoding the restorable arguments (walked in Prepare
+	// only under the fallback rule).
+	set restoreSet
+	// identToID maps decode-time object identity to stream ID. Built only
+	// for a walk (walk-rule Prepare, PolicyDCE post-call walk).
 	identToID map[graph.Ident]int
 	prepared  bool
 
@@ -39,16 +40,18 @@ type ServerCall struct {
 	// pooled records that dec came from the codec pool and must go back.
 	pooled bool
 
-	// batch, when set, supplies shared prepare-phase scratch state (walker
-	// + identity map) reused across the calls of one server-side batch
+	// batch, when set, supplies shared walk scratch state (walker +
+	// identity map) reused across the calls of one server-side batch
 	// dispatch; see Batch.
 	batch *Batch
 }
 
-// Batch holds the prepare-phase scratch state — a reachability walker and
-// an identity-to-stream-ID map — reused across a run of ServerCalls
-// dispatched back to back, amortizing the per-call linear-map capture
-// cost that motivates server-side call coalescing. A Batch serializes
+// Batch holds walk scratch state — a reachability walker and an
+// identity-to-stream-ID map — reused across a run of ServerCalls
+// dispatched back to back. Restore sets captured during decoding need
+// neither, so a Batch amortizes only the walks that remain: the
+// walk-rule fallback (a by-copy argument with objects ahead of a
+// restorable one) and the PolicyDCE post-call walk. A Batch serializes
 // nothing itself: it must only be attached to calls executed strictly one
 // at a time, each finishing EncodeResponse before the next call's
 // Prepare.
@@ -91,7 +94,7 @@ func (b *Batch) walker(mode graph.AccessMode, kernels bool) *graph.Walker {
 	return b.w
 }
 
-// SetBatch attaches shared prepare scratch state; call it before Prepare.
+// SetBatch attaches shared walk scratch state; call it before Prepare.
 // The ServerCall borrows the batch — Release leaves it untouched.
 func (s *ServerCall) SetBatch(b *Batch) { s.batch = b }
 
@@ -140,7 +143,7 @@ func (s *ServerCall) Release() {
 	s.dec = nil
 	s.oc = nil
 	s.restorableRoots = nil
-	s.restoreIDs = nil
+	s.set = restoreSet{}
 	s.identToID = nil
 	s.snapshot = nil
 	s.batch = nil
@@ -152,12 +155,15 @@ func (s *ServerCall) DecodeCopy() (any, error) {
 }
 
 // DecodeRestorable decodes a call-by-copy-restore argument and remembers
-// its root for the restore phase.
+// its root for the restore phase. The objects it registers extend the
+// restore set by the rule the client's EncodeRestorable applies.
 func (s *ServerCall) DecodeRestorable() (any, error) {
+	before := len(s.dec.Objects())
 	v, err := s.dec.Decode()
 	if err != nil {
 		return nil, err
 	}
+	s.set.noteRestorable(before, len(s.dec.Objects()))
 	if v != nil {
 		s.restorableRoots = append(s.restorableRoots, reflect.ValueOf(v))
 	}
@@ -187,18 +193,20 @@ func (s *ServerCall) SetObs(oc *obs.Call) { s.oc = oc }
 
 // Prepare fixes the pre-call object set: every object reachable from the
 // restorable parameters right now, before the method body runs (paper,
-// Section 3: the linear map of "old" objects). It must be called after all
-// arguments are decoded and before the method executes. With Options.Delta
-// it additionally snapshots the restorable subgraph for change detection.
-// The srv-prepare span covers the whole step; the srv-snapshot span nested
-// inside it isolates the delta deep copy.
+// Section 3: the linear map of "old" objects). Decoding already captured
+// it unless a by-copy argument with objects preceded a restorable one, in
+// which case Prepare walks the restorable roots. It must be called after
+// all arguments are decoded and before the method executes. With
+// Options.Delta it additionally snapshots the restorable subgraph for
+// change detection. The srv-prepare span covers the whole step; the
+// srv-snapshot span nested inside it isolates the delta deep copy.
 func (s *ServerCall) Prepare() error {
 	if s.prepared {
 		return nil
 	}
 	sp := s.oc.Start(obs.PhaseSrvPrepare)
 	err := s.prepare()
-	sp.EndN(0, int64(len(s.restoreIDs)))
+	sp.EndN(0, int64(s.set.Len()))
 	return err
 }
 
@@ -223,24 +231,15 @@ func (s *ServerCall) prepare() error {
 	}
 	access := s.effectiveAccess()
 	if s.batch != nil {
-		// Reuse the batch's identity map (cleared, capacity kept) instead
-		// of allocating one per call.
-		clear(s.batch.identToID)
-		s.identToID = s.batch.identToID
 		s.batch.calls++
-	} else {
-		s.identToID = make(map[graph.Ident]int, len(s.dec.Objects()))
 	}
-	for id, obj := range s.dec.Objects() {
-		if ident, ok := graph.IdentOf(obj); ok {
-			s.identToID[ident] = id
+	if s.set.walk {
+		ids, err := walkSet(s.restorableRoots, access, s.opts.kernelsEnabled(), s.batch, s.idLookup())
+		if err != nil {
+			return err
 		}
+		s.set.ids = ids
 	}
-	set, err := s.reachableIDs(access, false)
-	if err != nil {
-		return err
-	}
-	s.restoreIDs = set
 	if s.opts.Delta {
 		sp := s.oc.Start(obs.PhaseSrvSnapshot)
 		err := s.takeSnapshot(access)
@@ -275,46 +274,29 @@ func (s *ServerCall) effectiveAccess() graph.AccessMode {
 	return s.opts.Access
 }
 
-// reachableIDs walks the restorable roots and returns the stream IDs of
-// every reachable object, ascending. With allowNew, objects absent from the
-// decode table (allocated by the method body, so only possible on the
-// post-call walk) are skipped; without it their presence is an internal
-// error, since the pre-call roots came from the table itself.
-func (s *ServerCall) reachableIDs(access graph.AccessMode, allowNew bool) ([]int, error) {
-	var w *graph.Walker
-	switch {
-	case s.batch != nil:
-		// Batched dispatch: every walk in the batch shares one walker,
-		// reset between uses; the leader releases it with the batch.
-		w = s.batch.walker(access, s.opts.kernelsEnabled())
-	case s.opts.kernelsEnabled():
-		// Only plain stream IDs leave this function, so the pooled walker's
-		// no-retention contract holds.
-		w = graph.AcquireWalker(access)
-		defer graph.ReleaseWalker(w)
-	default:
-		w = graph.NewWalker(access)
-		w.NoKernels = true
-	}
-	for _, root := range s.restorableRoots {
-		if err := w.RootValue(root); err != nil {
-			return nil, fmt.Errorf("core: walking restorable parameters: %w", err)
+// idLookup returns the decode table's identity-to-stream-ID lookup for a
+// walk, building the index on first use.
+func (s *ServerCall) idLookup() func(reflect.Value) (int, bool) {
+	if s.identToID == nil {
+		if s.batch != nil {
+			// Reuse the batch's identity map (cleared, capacity kept)
+			// instead of allocating one per call.
+			clear(s.batch.identToID)
+			s.identToID = s.batch.identToID
+		} else {
+			s.identToID = make(map[graph.Ident]int, len(s.dec.Objects()))
 		}
-	}
-	var ids []int
-	for _, obj := range w.LinearMap().Objects() {
-		ident, _ := graph.IdentOf(obj.Ref)
-		id, ok := s.identToID[ident]
-		if !ok {
-			if allowNew {
-				continue
+		for id, obj := range s.dec.Objects() {
+			if ident, ok := graph.IdentOf(obj); ok {
+				s.identToID[ident] = id
 			}
-			return nil, fmt.Errorf("%w: reachable object missing from decode table", ErrBadResponse)
 		}
-		ids = append(ids, id)
 	}
-	sort.Ints(ids)
-	return ids, nil
+	return func(ref reflect.Value) (int, bool) {
+		ident, _ := graph.IdentOf(ref)
+		id, ok := s.identToID[ident]
+		return id, ok
+	}
 }
 
 // ResponseStats reports what a response encoding shipped, for metrics and
@@ -355,37 +337,36 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	} else {
 		enc = wire.NewEncoder(w, sendOpts.wireOptions())
 	}
-	// Seed the response encoder with the restorable subset of the decode
-	// table, in ascending stream-ID order — the exact set and order the
-	// client's ApplyResponse reconstructs independently. Objects outside
-	// the subset (by-copy argument data referenced from return values)
-	// encode as fresh objects, preserving plain-RMI copy semantics for
-	// them.
-	subsetIdx := make(map[int]int, len(s.restoreIDs))
-	for i, sid := range s.restoreIDs {
-		if _, err := enc.SeedObject(s.dec.Objects()[sid]); err != nil {
+	// Seed the response encoder with the restore set, in ascending
+	// stream-ID order — the exact set and order the client's
+	// ApplyResponse seeds independently, so set position i is restore
+	// index i on both ends. Objects outside the set (by-copy argument data
+	// referenced from return values) encode as fresh objects, preserving
+	// plain-RMI copy semantics for them.
+	objs := s.dec.Objects()
+	n := s.set.Len()
+	for i := 0; i < n; i++ {
+		if _, err := enc.SeedObject(objs[s.set.id(i)]); err != nil {
 			return nil, err
 		}
-		subsetIdx[sid] = i
 	}
 
-	include, err := s.filterIDs(access)
+	skip, sent, err := s.filter(access)
 	if err != nil {
 		return nil, err
 	}
-	if err := enc.EncodeUint(uint64(len(include))); err != nil {
+	if err := enc.EncodeUint(uint64(sent)); err != nil {
 		return nil, err
 	}
-	for _, sid := range include {
-		idx, ok := subsetIdx[sid]
-		if !ok {
-			return nil, fmt.Errorf("%w: restore id %d outside restorable set", ErrBadResponse, sid)
+	for i := 0; i < n; i++ {
+		if skip != nil && skip[i] {
+			continue
 		}
-		if err := enc.EncodeUint(uint64(idx)); err != nil {
+		if err := enc.EncodeUint(uint64(i)); err != nil {
 			return nil, err
 		}
-		if err := enc.EncodeSeededContent(idx); err != nil {
-			return nil, fmt.Errorf("core: encoding content for object %d: %w", sid, err)
+		if err := enc.EncodeSeededContent(i); err != nil {
+			return nil, fmt.Errorf("core: encoding content for object %d: %w", s.set.id(i), err)
 		}
 	}
 	if err := enc.EncodeUint(uint64(len(rets))); err != nil {
@@ -400,8 +381,8 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 		return nil, err
 	}
 	stats := &ResponseStats{
-		OldTotal:  len(s.restoreIDs),
-		OldSent:   len(include),
+		OldTotal:  n,
+		OldSent:   sent,
 		BytesSent: enc.BytesWritten(),
 	}
 	if kernels {
@@ -410,55 +391,59 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	return stats, nil
 }
 
-// filterIDs applies the restore policy and delta filtering to the pre-call
-// object set.
-func (s *ServerCall) filterIDs(access graph.AccessMode) ([]int, error) {
-	include := s.restoreIDs
+// filter applies the restore policy and delta filtering to the pre-call
+// object set. It returns which set positions to skip (nil: ship them all)
+// and how many ship.
+func (s *ServerCall) filter(access graph.AccessMode) (skip []bool, sent int, err error) {
+	n := s.set.Len()
+	delta := s.opts.Delta && s.snapshot != nil
+	if s.opts.Policy != PolicyDCE && !delta {
+		return nil, n, nil
+	}
+	skip = make([]bool, n)
+	objs := s.dec.Objects()
 	if s.opts.Policy == PolicyDCE {
 		// DCE RPC semantics: only objects still reachable from the
 		// parameters after the call are restored (paper, Figure 9).
-		post, err := s.reachableIDs(access, true)
-		if err != nil {
-			return nil, err
-		}
-		postSet := make(map[int]bool, len(post))
-		for _, id := range post {
-			postSet[id] = true
-		}
-		var filtered []int
-		for _, id := range include {
-			if postSet[id] {
-				filtered = append(filtered, id)
+		post := make([]bool, len(objs))
+		err := walkIDs(s.restorableRoots, access, s.opts.kernelsEnabled(), s.batch, s.idLookup(), func(id int, ok bool) error {
+			if ok {
+				post[id] = true
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, 0, err
 		}
-		include = filtered
+		for i := range skip {
+			skip[i] = !post[s.set.id(i)]
+		}
 	}
-	if s.opts.Delta && s.snapshot != nil {
-		var filtered []int
-		for _, id := range include {
-			cur := s.dec.Objects()[id]
+	if delta {
+		for i := range skip {
+			if skip[i] {
+				continue
+			}
+			cur := objs[s.set.id(i)]
 			snap, ok := s.snapshot.Copied(cur)
 			if !ok {
 				// Not snapshotted (should not happen for pre-call set);
 				// ship it to be safe.
-				filtered = append(filtered, id)
 				continue
 			}
 			eq, err := graph.ShallowEqualObject(access, cur, snap, s.pairSnapshot)
-			if err != nil {
-				// Not diffable (e.g. a map with identity-bearing keys):
-				// fall back to shipping it. Delta is an optimization and
-				// must never turn a restorable call into an error.
-				filtered = append(filtered, id)
-				continue
-			}
-			if !eq {
-				filtered = append(filtered, id)
-			}
+			// Not diffable (e.g. a map with identity-bearing keys): ship
+			// it. Delta is an optimization and must never turn a
+			// restorable call into an error.
+			skip[i] = err == nil && eq
 		}
-		include = filtered
 	}
-	return include, nil
+	for _, sk := range skip {
+		if !sk {
+			sent++
+		}
+	}
+	return skip, sent, nil
 }
 
 // pairSnapshot reports whether snapshot reference b is the snapshot

@@ -39,9 +39,11 @@ const (
 	// PhaseEncode is the client-side argument serialization (graph walk +
 	// wire encode, fused in this implementation's single encoder pass).
 	PhaseEncode Phase = iota
-	// PhaseMapWalk is the client-side linear-map walk: re-deriving the
-	// restorable object set from the request encoder's table before the
-	// reply is applied (the paper's step 4 bookkeeping).
+	// PhaseMapWalk is the client-side fixing of the restore set at issue
+	// time (core.Call.Finish), nested inside PhaseEncode. The set is
+	// normally captured during the encode itself and this phase is
+	// near-empty; it walks the restorable roots only when a by-copy
+	// argument with objects precedes a restorable one.
 	PhaseMapWalk
 	// PhaseTransport is the full transport round trip as observed by the
 	// client: request write, network, server processing, reply read. It

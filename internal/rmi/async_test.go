@@ -43,6 +43,20 @@ func (s *AsyncService) GatedScale(t *RTree, k int) int {
 	return s.Scale(t, k)
 }
 
+// Grow attaches a new node under the left child: a structural edit that
+// adds an object to the caller's graph when the promise is consumed.
+func (s *AsyncService) Grow(t *RTree) int {
+	t.Left.Right = &RTree{Data: 100}
+	return 1
+}
+
+// Prune cuts the right subtree: a structural edit that removes objects
+// from the caller's reachable graph when the promise is consumed.
+func (s *AsyncService) Prune(t *RTree) int {
+	t.Right = nil
+	return 2
+}
+
 // Add returns a+b.
 func (s *AsyncService) Add(a, b int) int {
 	s.mu.Lock()
@@ -141,6 +155,85 @@ func TestAsyncPipelinedRestore(t *testing.T) {
 	// Settled promises keep answering without further effect.
 	if rets, err := ps[0].Wait(ctx); err != nil || rets[0].(int) != 5 {
 		t.Fatalf("re-Wait: %v %v", rets, err)
+	}
+}
+
+// TestAsyncStructuralEditBetweenIssueAndWait: a promise's restore set is
+// the object set its arguments had at CallAsync time, whatever happens to
+// the caller's graph before Wait. Promise B is issued on the same root as
+// promise A, whose method adds a node or cuts a subtree; A is consumed
+// first, so B's apply meets a graph whose reachable set differs from the
+// one B encoded. In the third case the caller itself detaches a subtree
+// between CallAsync and Wait. Every case, with and without delta
+// responses, must restore exactly the issue-time objects: B's result
+// overwrites them all, including ones no longer reachable.
+func TestAsyncStructuralEditBetweenIssueAndWait(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		t.Run(fmt.Sprintf("delta=%v", delta), func(t *testing.T) {
+			cl, _, _ := newAsyncEnv(t, func(o *Options) { o.Core.Delta = delta })
+			stub := cl.Stub("server", "async")
+			ctx := context.Background()
+
+			for _, edit := range []struct {
+				method string
+				want   int
+			}{{"Grow", 1}, {"Prune", 2}} {
+				t.Run(edit.method+"-then-Scale", func(t *testing.T) {
+					root := chaosTree()
+					snap := snapshotTree(t, root)
+					issued := []*RTree{root, root.Left, root.Right, root.Left.Left, root.Right.Right}
+					a, err := stub.CallAsync(ctx, edit.method, root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := stub.CallAsync(ctx, "Scale", root, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rets, err := a.Wait(ctx)
+					if err != nil || rets[0].(int) != edit.want {
+						t.Fatalf("A: %v %v", rets, err)
+					}
+					rets, err = b.Wait(ctx)
+					if err != nil {
+						t.Fatalf("B after %s: %v", edit.method, err)
+					}
+					want := snapshotTree(t, snap)
+					if got := rets[0].(int); got != chaosMutate(want, 3) {
+						t.Fatalf("B returned %d", got)
+					}
+					if !treesEqual(t, root, want) {
+						t.Fatalf("B after %s restored the wrong graph", edit.method)
+					}
+					// Identity: the issue-time objects are the ones restored.
+					if root.Left != issued[2] || root.Right != issued[1] || root.Left.Left != issued[3] {
+						t.Fatal("restore replaced issue-time objects instead of overwriting them")
+					}
+				})
+			}
+
+			t.Run("caller-detaches", func(t *testing.T) {
+				root := chaosTree()
+				snap := snapshotTree(t, root)
+				p, err := stub.CallAsync(ctx, "Scale", root, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				detached := root.Right
+				root.Right = nil
+				if _, err := p.Wait(ctx); err != nil {
+					t.Fatalf("Wait after detach: %v", err)
+				}
+				want := snapshotTree(t, snap)
+				chaosMutate(want, 4)
+				if !treesEqual(t, root, want) {
+					t.Fatal("restored the wrong graph")
+				}
+				if root.Left != detached || detached.Data != 7+4 || detached.Right.Data != 9+4 {
+					t.Fatal("detached subtree was not restored as an issue-time object")
+				}
+			})
+		})
 	}
 }
 

@@ -1,10 +1,9 @@
 // Server-side batch dispatch (Options.BatchCalls): when several calls to
 // the same export are in flight at once, the first becomes the batch
 // leader and executes the queued followers back to back on its own
-// goroutine, attaching one core.Batch so the prepare-phase scratch set
-// (graph walker + identity map) is acquired once and Reset between calls
-// instead of re-acquired per call — the server-side analog of the
-// pipelined client amortizing round trips.
+// goroutine, attaching one core.Batch so the walk scratch set (graph
+// walker + identity map) that restore-set fallback and DCE walks need is
+// acquired once and Reset between calls instead of re-acquired per call.
 //
 // Coalescing is opportunistic and bounded: a call finding a live leader
 // for its export enqueues only while the leader's enrollment budget
@@ -142,7 +141,7 @@ func (s *Server) leadBatch(ctx context.Context, payload []byte, q *batchQueue) (
 
 // peekObjectKey decodes just the dispatch key from a call payload, the
 // batcher's coalescing key. The full handler re-decodes it; the double
-// decode is one string against a saved walker acquisition per follower.
+// decode costs one string per follower.
 func (s *Server) peekObjectKey(payload []byte) (string, bool) {
 	sc := core.AcceptCallBytes(payload, s.opts.Core)
 	defer sc.Release()

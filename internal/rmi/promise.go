@@ -10,6 +10,9 @@
 //     or a composition that waits), never in the background: between
 //     issue and Wait the caller's graph is untouched, exactly as if the
 //     reply had not arrived yet.
+//   - The restore set is the issue-time object set: the reply
+//     overwrites exactly the objects the request carried, even if an
+//     earlier commit or the caller re-linked the graph before Wait.
 //   - Restore commits of concurrently in-flight calls over the same
 //     client serialize on one commit lock (core.Call.SetCommitLock), so
 //     two promises resolving together cannot interleave their overwrite

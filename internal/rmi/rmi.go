@@ -159,9 +159,10 @@ type Options struct {
 	// BatchCalls enables server-side batch dispatch: when several calls
 	// to the same export are in flight at once, the first becomes the
 	// batch leader and executes up to BatchCalls-1 queued followers back
-	// to back, reusing one prepare-phase scratch set (walker + identity
-	// map) across the run — amortizing linear-map capture the way the
-	// pipelined client amortizes round trips. Values below 2 disable
+	// to back, reusing one walk scratch set (walker + identity map)
+	// across the run for the restore-set walks that remain (by-copy
+	// arguments with objects ahead of restorable ones, the DCE policy).
+	// Values below 2 disable
 	// coalescing. Batching changes scheduling, not semantics: each call
 	// keeps its own context, reply, and restore section.
 	BatchCalls int

@@ -356,15 +356,22 @@ type serverMetrics struct {
 
 // Metrics returns a snapshot of the server's counters.
 func (s *Server) Metrics() Metrics {
+	// Load in the reverse of the increment order (calls, then errors,
+	// then cancelled): every call counted in an earlier load was already
+	// counted in the later ones, so a snapshot taken under load still
+	// sees CallsServed ≥ CallErrors ≥ CallsCancelled.
+	cancelled := s.metrics.cancelled.Load()
+	errs := s.metrics.errors.Load()
+	calls := s.metrics.calls.Load()
 	return Metrics{
-		CallsServed:       s.metrics.calls.Load(),
-		CallErrors:        s.metrics.errors.Load(),
+		CallsServed:       calls,
+		CallErrors:        errs,
 		BytesIn:           s.metrics.bytesIn.Load(),
 		BytesOut:          s.metrics.bytesOut.Load(),
 		ObjectsRestored:   s.metrics.restored.Load(),
 		CallsRejected:     s.metrics.rejected.Load(),
 		CallsUnavailable:  s.metrics.unavailable.Load(),
-		CallsCancelled:    s.metrics.cancelled.Load(),
+		CallsCancelled:    cancelled,
 		CallsAbandoned:    s.metrics.abandoned.Load(),
 		BatchesDispatched: s.metrics.batches.Load(),
 		BatchedCalls:      s.metrics.batchedCalls.Load(),

@@ -115,7 +115,7 @@ func (a *Arena) NewSlice(st reflect.Type, n int) reflect.Value {
 		// Zero-length carves at the same offset would share an identity
 		// (same data pointer), and oversized requests would never fit a
 		// slab: allocate directly in both cases.
-		return reflect.MakeSlice(st, n, n)
+		return makeSliceObject(st, n)
 	}
 	s := a.sliceSlabs[elemT]
 	if s == nil || s.next+n > s.v.Len() {
@@ -131,4 +131,17 @@ func (a *Arena) NewSlice(st reflect.Type, n int) reflect.Value {
 		carve = carve.Convert(st)
 	}
 	return carve
+}
+
+// makeSliceObject allocates a decoded slice object with len n. Go gives
+// every zero-byte allocation the same address, so distinct empty slices
+// would share one identity (one data pointer) and two object-table
+// entries would alias; an empty slice of a sized element type therefore
+// gets capacity 1, keeping one table entry to one identity exactly as on
+// the encoding side.
+func makeSliceObject(st reflect.Type, n int) reflect.Value {
+	if n == 0 && st.Elem().Size() > 0 {
+		return reflect.MakeSlice(st, 0, 1)
+	}
+	return reflect.MakeSlice(st, n, n)
 }

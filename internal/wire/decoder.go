@@ -382,7 +382,7 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		if err != nil {
 			return reflect.Value{}, err
 		}
-		sv := reflect.MakeSlice(st, n, n)
+		sv := makeSliceObject(st, n)
 		d.table = append(d.table, sv)
 		if err := d.decodeSliceElemsInto(sv); err != nil {
 			return reflect.Value{}, err

@@ -182,8 +182,9 @@ type Options struct {
 	// BatchCalls enables server-side call coalescing: while one call on a
 	// service executes, up to BatchCalls-1 queued calls for the same
 	// service join its batch and are dispatched back-to-back, sharing one
-	// linear-map walker (amortizing capture across the batch). Values
-	// below 2 disable coalescing. Restore semantics are unchanged — each
+	// walker for the restore-set walks that remain (by-copy arguments with
+	// objects ahead of restorable ones, and the DCE policy). Values below
+	// 2 disable coalescing. Restore semantics are unchanged — each
 	// call's response is built exactly as if dispatched alone.
 	BatchCalls int
 	// Observer receives per-call phase measurements (latency, bytes, object

@@ -36,7 +36,7 @@ ci: build
 		echo "lint exceeded its 30s runtime budget" >&2; exit 1; \
 	fi
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'TestV3|TestV2Client|TestQuickRemoteEqualsLocal|TestRestoreSet' ./internal/wire/ ./internal/core/ ./internal/rmi/
+	$(GO) test -race -count=1 -run 'TestV3|TestV2Client|TestQuickRemoteEqualsLocal|TestRestoreSet|TestKernel|TestRestoreAllocs' ./internal/wire/ ./internal/core/ ./internal/rmi/
 	$(GO) test -race -count=1 -run 'TestAsync|TestOneWay|TestBatch' ./internal/rmi/
 	$(GO) run ./cmd/nrmi-vet -format sarif ./... > nrmi-vet.sarif
 	@echo "wrote nrmi-vet.sarif"

@@ -193,6 +193,9 @@ type pendingRestore struct {
 	orig reflect.Value
 	tmp  reflect.Value
 	flat *wire.FlatContent
+	// k is orig's restore kernel, resolved by the kernel validate loop and
+	// reused by its commit loop.
+	k *restoreKernel
 }
 
 // ApplyResponse reads the server's restore section and return values from r
@@ -289,10 +292,11 @@ func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []
 	// Seed the response decoder with the restore set, in ascending
 	// stream-ID order: references to those IDs must resolve to the
 	// original client objects, while everything else (including returned
-	// by-copy argument data) materializes fresh.
+	// by-copy argument data) materializes fresh. The decoder shares the
+	// request encoder's reference cells, which outlive the apply.
 	objs := c.enc.Objects()
 	for i := 0; i < c.set.Len(); i++ {
-		if _, err := dec.SeedObject(objs[c.set.id(i)]); err != nil {
+		if _, err := dec.SeedFrom(c.enc, c.set.id(i)); err != nil {
 			return nil, nil, 0, err
 		}
 	}
@@ -370,14 +374,22 @@ func commitUpdates(kernels bool, updates []pendingRestore) error {
 	}
 	if kernels {
 		// Compiled restore programs: kind dispatch resolved once per type,
-		// map commits via Clear + pooled iterator.
-		for _, u := range updates {
-			if err := restoreKernelFor(u.orig.Type()).validate(u.orig, u.tmp); err != nil {
+		// map commits via Clear + pooled iterator. The kernel is looked up
+		// once per run of equal types and kept for the commit loop.
+		var k *restoreKernel
+		var kt reflect.Type
+		for i := range updates {
+			u := &updates[i]
+			if t := u.orig.Type(); t != kt {
+				k, kt = restoreKernelFor(t), t
+			}
+			if err := k.validate(u.orig, u.tmp); err != nil {
 				return err
 			}
+			u.k = k
 		}
 		for _, u := range updates {
-			restoreKernelFor(u.orig.Type()).commit(u.orig, u.tmp)
+			u.k.commit(u.orig, u.tmp)
 		}
 		return nil
 	}

@@ -98,6 +98,129 @@ func TestRestoreThroughMapAndSliceContainers(t *testing.T) {
 	if len(root.Table) != 2 {
 		t.Fatalf("map size = %d", len(root.Table))
 	}
+
+	t.Run("map-and-slice-content", func(t *testing.T) {
+		for _, kernels := range []bool{true, false} {
+			opts := shelfOptions(t)
+			opts.DisableKernels = !kernels
+			restoreShelf(t, opts)
+		}
+	})
+}
+
+// shelf and shelfEntry put struct values, slices and maps inside the
+// restorable maps and slices, so the content records of those containers
+// carry whole structs. The kernel decoder fills map entries through one
+// reused key cell and one reused value cell, and slice elements in place;
+// consecutive entries differ in which fields are zero or nil, so a cell
+// that leaks a field from an earlier entry restores a wrong graph.
+type shelf struct {
+	ByName map[string]shelfEntry
+	Rows   []shelfEntry
+	Lists  map[string][]int
+	IDs    []int
+	Ptrs   map[int]*Tree
+}
+
+type shelfEntry struct {
+	Name string
+	Tree *Tree
+	Tags []string
+	N    int
+}
+
+func shelfOptions(t *testing.T) Options {
+	t.Helper()
+	opts := testOptions(t)
+	for name, sample := range map[string]any{"shelf": shelf{}, "shelfEntry": shelfEntry{}} {
+		if err := opts.Registry.Register(name, sample); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return opts
+}
+
+func newShelf() *shelf {
+	shared := &Tree{Data: 1}
+	return &shelf{
+		ByName: map[string]shelfEntry{
+			"a": {Name: "a", Tree: shared, Tags: []string{"x"}, N: 1},
+			"b": {Name: "b"},
+		},
+		Rows:  []shelfEntry{{Name: "r0", Tree: shared, Tags: []string{"y"}, N: 2}, {N: 3}},
+		Lists: map[string][]int{"p": {1, 2}, "q": nil},
+		IDs:   []int{4, 5, 6},
+		Ptrs:  map[int]*Tree{1: shared, 2: shared},
+	}
+}
+
+// mutateShelf turns full entries empty and empty ones full, in sorted key
+// order and in slice order, and adds entries of both shapes.
+func mutateShelf(s *shelf) {
+	shared := s.Ptrs[1]
+	fresh := &Tree{Data: 9}
+	s.ByName["a"] = shelfEntry{N: 7}
+	s.ByName["b"] = shelfEntry{Name: "b2", Tree: fresh, Tags: []string{"t1", "t2"}, N: 8}
+	s.ByName["c"] = shelfEntry{}
+	s.ByName["d"] = shelfEntry{Name: "d", Tree: shared, Tags: []string{}}
+	s.Rows[0] = shelfEntry{}
+	s.Rows[1] = shelfEntry{Name: "r1", Tree: fresh, Tags: []string{"z"}, N: 4}
+	s.Lists["p"] = nil
+	s.Lists["q"] = []int{7}
+	s.Lists["r"] = []int{0}
+	s.IDs[0], s.IDs[2] = 0, 60
+	s.Ptrs[2] = fresh
+	s.Ptrs[3] = nil
+	shared.Data = 100
+}
+
+// restoreShelf runs mutateShelf remotely and locally and compares.
+func restoreShelf(t *testing.T, opts Options) {
+	t.Helper()
+	remote, local := newShelf(), newShelf()
+	byName, rows, lists, ids := remote.ByName, remote.Rows, remote.Lists, remote.IDs
+	shared := remote.Ptrs[1]
+	mutateShelf(local)
+
+	var req bytes.Buffer
+	call := NewCall(&req, opts)
+	if err := call.EncodeRestorable(remote); err != nil {
+		t.Fatal(err)
+	}
+	if err := call.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	srv := AcceptCall(&req, opts)
+	sroot, err := srv.DecodeRestorable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	mutateShelf(sroot.(*shelf))
+	var resp bytes.Buffer
+	if _, err := srv.EncodeResponse(&resp, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := call.ApplyResponse(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if eq, err := graph.Equal(graph.AccessExported, remote, local); err != nil || !eq {
+		t.Fatalf("kernels=%v: restored shelf differs from local execution (%v %v): %+v",
+			opts.kernelsEnabled(), eq, err, remote)
+	}
+	// The containers were restored in place: every alias sees the result.
+	if len(byName) != 4 || byName["a"].Tree != nil || byName["b"].Tree.Data != 9 {
+		t.Fatalf("map alias not refilled: %+v", byName)
+	}
+	if rows[0].Tags != nil || rows[1].Name != "r1" || lists["p"] != nil || ids[2] != 60 {
+		t.Fatalf("container aliases not restored: %+v %+v %v", rows, lists, ids)
+	}
+	if remote.Ptrs[1] != shared || byName["d"].Tree != shared || shared.Data != 100 ||
+		remote.Ptrs[2] != byName["b"].Tree || rows[1].Tree != byName["b"].Tree {
+		t.Fatal("node identity lost through map values and slice elements")
+	}
 }
 
 func TestRestoreInterfaceFieldRetarget(t *testing.T) {

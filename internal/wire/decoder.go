@@ -14,11 +14,15 @@ import (
 // optimization of rebuilding the linear map during un-serialization instead
 // of shipping it (Section 5.2.4, optimization 1).
 type Decoder struct {
-	r          *reader
-	opts       Options
-	table      []reflect.Value
-	numSeeded  int
-	typeTable  []reflect.Type
+	r         *reader
+	opts      Options
+	table     []reflect.Value
+	numSeeded int
+	typeTable []reflect.Type
+	// typeKern holds the compiled struct decode kernel of each typeTable
+	// entry, filled on the entry's first struct (kernel path only; may be
+	// shorter than typeTable).
+	typeKern   []*decStructKernel
 	strTable   []string
 	headerDone bool
 
@@ -94,6 +98,21 @@ func (d *Decoder) SeedObject(ref reflect.Value) (int, error) {
 	d.table = append(d.table, graph.StableRef(ref))
 	d.numSeeded++
 	return id, nil
+}
+
+// SeedFrom is SeedObject for object id of enc's table. It shares enc's
+// detached reference cell instead of wrapping the object in a new one: the
+// restore protocol seeds a reply decoder from its own request encoder
+// this way. The decoder never writes its table entries, but enc must not
+// be released while d can still resolve references to the seeded ID.
+func (d *Decoder) SeedFrom(enc *Encoder, id int) (int, error) {
+	if id < 0 || id >= len(enc.objs) {
+		return 0, fmt.Errorf("wire: SeedFrom(%d): no such encoder object", id)
+	}
+	seed := len(d.table)
+	d.table = append(d.table, enc.objs[id])
+	d.numSeeded++
+	return seed, nil
 }
 
 // header consumes the stream header exactly once.
@@ -203,6 +222,14 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 			return reflect.Value{}, fmt.Errorf("%w: content kind ptr for %s object", ErrBadStream, orig.Kind())
 		}
 		tmp := reflect.New(orig.Type().Elem())
+		if d.kernels {
+			// Decode straight into the temporary: its pointee is the only
+			// allocation a restored pointer object costs.
+			if err := d.decodeValueInto(tmp.Elem(), 0); err != nil {
+				return reflect.Value{}, err
+			}
+			return tmp, nil
+		}
 		elem, err := d.decodeValue(0)
 		if err != nil {
 			return reflect.Value{}, err
@@ -289,7 +316,7 @@ func (d *Decoder) decodeValueInto(dst reflect.Value, depth int) error {
 		}
 		return setDecoded(dst, fv)
 	case tagStruct:
-		st, err := d.decodeType()
+		st, idx, err := d.decodeTypeIdx()
 		if err != nil {
 			return err
 		}
@@ -297,9 +324,9 @@ func (d *Decoder) decodeValueInto(dst reflect.Value, depth int) error {
 			return fmt.Errorf("%w: tagStruct with non-struct type %s", ErrBadStream, st)
 		}
 		if st == dst.Type() {
-			return d.decodeStructInto(dst, depth)
+			return d.decodeStructInto(dst, idx, depth)
 		}
-		fv, err := d.decodeStruct(st, depth)
+		fv, err := d.decodeStruct(st, idx, depth)
 		if err != nil {
 			return err
 		}
@@ -390,14 +417,14 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		return sv, nil
 
 	case tagStruct:
-		st, err := d.decodeType()
+		st, idx, err := d.decodeTypeIdx()
 		if err != nil {
 			return reflect.Value{}, err
 		}
 		if st.Kind() != reflect.Struct {
 			return reflect.Value{}, fmt.Errorf("%w: tagStruct with non-struct type %s", ErrBadStream, st)
 		}
-		return d.decodeStruct(st, depth)
+		return d.decodeStruct(st, idx, depth)
 
 	case tagArray:
 		at, err := d.decodeType()
@@ -432,6 +459,23 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 }
 
 func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n int) error {
+	if d.kernels {
+		// One key and one value cell per map, reused for every entry:
+		// SetMapIndex copies them, and each entry's decode overwrites every
+		// field a previous entry wrote.
+		key := reflect.New(mv.Type().Key()).Elem()
+		val := reflect.New(mv.Type().Elem()).Elem()
+		for i := 0; i < n; i++ {
+			if err := d.decodeValueInto(key, 0); err != nil {
+				return err
+			}
+			if err := d.decodeValueInto(val, 0); err != nil {
+				return err
+			}
+			mv.SetMapIndex(key, val)
+		}
+		return nil
+	}
 	for i := 0; i < n; i++ {
 		kv, err := d.decodeValue(0)
 		if err != nil {
@@ -455,6 +499,14 @@ func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n int) error {
 }
 
 func (d *Decoder) decodeSliceElemsInto(sv reflect.Value) error {
+	if d.kernels {
+		for i := 0; i < sv.Len(); i++ {
+			if err := d.decodeValueInto(sv.Index(i), 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for i := 0; i < sv.Len(); i++ {
 		ev, err := d.decodeValue(0)
 		if err != nil {
@@ -467,17 +519,20 @@ func (d *Decoder) decodeSliceElemsInto(sv reflect.Value) error {
 	return nil
 }
 
-func (d *Decoder) decodeStruct(st reflect.Type, depth int) (reflect.Value, error) {
+// decodeStruct decodes a struct body of type st, the type at type-table
+// entry idx (-1 when the descriptor was not table-coded), into a fresh
+// value.
+func (d *Decoder) decodeStruct(st reflect.Type, idx, depth int) (reflect.Value, error) {
 	sv := reflect.New(st).Elem()
-	if err := d.decodeStructInto(sv, depth); err != nil {
+	if err := d.decodeStructInto(sv, idx, depth); err != nil {
 		return reflect.Value{}, err
 	}
 	return sv, nil
 }
 
 // decodeStructInto decodes a struct body into sv, which must be an
-// addressable value of the encoded type.
-func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
+// addressable value of the encoded type; idx is as for decodeStruct.
+func (d *Decoder) decodeStructInto(sv reflect.Value, idx, depth int) error {
 	st := sv.Type()
 	if d.engine == EngineV1 {
 		// V1 ships a field count and names; resolve each by name.
@@ -517,7 +572,7 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 		// Compiled field program: plan order with the fieldForWrite accessor
 		// decision (direct vs. laundered) resolved once per type. sv is
 		// always addressable here, so fields decode in place.
-		k := decKernelFor(st, d.access)
+		k := d.structKernel(st, idx)
 		for i := range k.fields {
 			f := &k.fields[i]
 			dst := sv.Field(f.index)
@@ -548,6 +603,24 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 		}
 	}
 	return nil
+}
+
+// structKernel returns the compiled field program for struct type st,
+// kept next to its type-table entry idx: the entry's first struct loads it
+// from the process-wide cache, every later one is a slice index.
+func (d *Decoder) structKernel(st reflect.Type, idx int) *decStructKernel {
+	if idx < 0 {
+		return decKernelFor(st, d.access)
+	}
+	if idx >= len(d.typeKern) {
+		d.typeKern = append(d.typeKern, make([]*decStructKernel, len(d.typeTable)-len(d.typeKern))...)
+	}
+	k := d.typeKern[idx]
+	if k == nil {
+		k = decKernelFor(st, d.access)
+		d.typeKern[idx] = k
+	}
+	return k
 }
 
 func (d *Decoder) decodeScalarPayload(t reflect.Type) (reflect.Value, error) {

@@ -115,31 +115,39 @@ func (e *Encoder) encodeTypeBody(t reflect.Type) error {
 
 // decodeType reads one type descriptor.
 func (d *Decoder) decodeType() (reflect.Type, error) {
+	t, _, err := d.decodeTypeIdx()
+	return t, err
+}
+
+// decodeTypeIdx reads one type descriptor and also reports its stream
+// type-table index, or -1 for a descriptor outside the table (engine V1).
+func (d *Decoder) decodeTypeIdx() (reflect.Type, int, error) {
 	b, err := d.r.readByte()
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	switch b {
 	case dTableRef:
 		idx, err := d.r.readLen()
 		if err != nil {
-			return nil, err
+			return nil, -1, err
 		}
 		if idx >= len(d.typeTable) || d.typeTable[idx] == nil {
-			return nil, fmt.Errorf("%w: type table index %d out of range", ErrBadStream, idx)
+			return nil, -1, fmt.Errorf("%w: type table index %d out of range", ErrBadStream, idx)
 		}
-		return d.typeTable[idx], nil
+		return d.typeTable[idx], idx, nil
 	case dTableDef:
 		idx := len(d.typeTable)
 		d.typeTable = append(d.typeTable, nil)
 		t, err := d.decodeTypeBody()
 		if err != nil {
-			return nil, err
+			return nil, -1, err
 		}
 		d.typeTable[idx] = t
-		return t, nil
+		return t, idx, nil
 	default:
-		return d.decodeTypeBodyWithLead(b)
+		t, err := d.decodeTypeBodyWithLead(b)
+		return t, -1, err
 	}
 }
 

@@ -128,6 +128,9 @@ func TestSeedObjectValidation(t *testing.T) {
 	if _, err := dec.SeedObject(reflect.ValueOf(42)); err == nil {
 		t.Fatal("decoder seeding a scalar must fail")
 	}
+	if _, err := dec.SeedFrom(enc, 0); err == nil {
+		t.Fatal("seeding from an empty encoder table must fail")
+	}
 	if _, err := dec.DecodeSeededContent(0); err == nil {
 		t.Fatal("content for unseeded id must fail")
 	}

@@ -27,6 +27,10 @@ type Encoder struct {
 	// kernels routes value encoding through the compiled per-type programs
 	// (kernel.go); derived from opts, cached here for the hot path.
 	kernels bool
+	// typeSlots maps encKernel.slot to 1 + the slot type's typeTable index
+	// (0: not yet emitted on this stream). lastK memoizes kernelFor.
+	typeSlots []int32
+	lastK     *encKernel
 	// flat is the engine-V3 frame-assembly scratch state (flat.go), created
 	// lazily and retained across frames and pooled reuse.
 	flat *flatEnc
@@ -176,7 +180,7 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 			return err
 		}
 		if e.kernels {
-			return encKernelFor(obj.Type(), e.opts.Access).encElems(e, obj, 0)
+			return e.kernelFor(obj.Type()).encElems(e, obj, 0)
 		}
 		return e.encodeMapEntries(obj, 0)
 	case reflect.Slice:
@@ -187,7 +191,7 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 			return err
 		}
 		if e.kernels {
-			return encKernelFor(obj.Type(), e.opts.Access).encElems(e, obj, 0)
+			return e.kernelFor(obj.Type()).encElems(e, obj, 0)
 		}
 		return e.encodeSliceElems(obj, 0)
 	default:
@@ -205,10 +209,12 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
 		return e.w.writeByte(tagNil)
 	}
 	if e.kernels {
-		// Compiled fast path: one cache load here, straight-line per-field
-		// ops below it, byte-identical output. The generic switch below is
-		// the V1 / ablation reference path.
-		return encKernelFor(v.Type(), e.opts.Access).enc(e, v, depth)
+		// Compiled fast path: the kernel is resolved once per run of equal
+		// root types (kernelFor's memo — one per reply for the seeded
+		// records), straight-line per-field ops below it, byte-identical
+		// output. The generic switch below is the V1 / ablation reference
+		// path.
+		return e.kernelFor(v.Type()).enc(e, v, depth)
 	}
 	switch v.Kind() {
 	case reflect.Interface:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"nrmi/internal/graph"
 )
@@ -16,6 +17,18 @@ import (
 // resolved at compile time. The decode direction is tag-driven — the stream,
 // not the static type, chooses each branch — so only the struct field loop
 // (the one place the decoder follows a static schema) is compiled.
+//
+// The process-wide caches below are consulted at compile time and at most
+// once per stream or per run of equal types, never per value:
+//
+//   - each encKernel carries a dense slot, and an Encoder maps slot → stream
+//     type-table index in a slice, so a type descriptor after its first use
+//     in a stream is a slice index rather than a map lookup;
+//   - an Encoder memoizes its last root/dynamic kernel lookup, so a run of
+//     equal types (the seeded records of one reply, the values behind an
+//     interface field) resolves its kernel once;
+//   - a Decoder keeps each struct's decode kernel next to the stream's
+//     type-table entry, filled on that entry's first use.
 //
 // Kernels implement the V2 wire format only and are engaged exactly when
 // Options.DisableKernels is unset on a V2 codec with the plan cache enabled;
@@ -32,8 +45,13 @@ type encOp func(e *Encoder, v reflect.Value, depth int) error
 // naturally: a child op compiled while its parent is in progress holds the
 // parent's *encKernel, whose fields are assigned before publication.
 type encKernel struct {
-	t   reflect.Type
-	enc encOp
+	t reflect.Type
+	// slot is the kernel's dense process-wide index into every Encoder's
+	// slot → type-table map (Encoder.typeSlots), assigned at compile time.
+	// Duplicate kernels of one type get distinct slots; each slot's first
+	// use in a stream still goes through encodeType, so they agree.
+	slot int
+	enc  encOp
 	// encElems emits the bare contents record used by the seeded-content
 	// protocol and by the kernel's own enc op: entry count plus key/value
 	// pairs for maps, elements only for slices (the caller owns the length
@@ -52,6 +70,9 @@ type encKernelKey struct {
 // RegisterStrict. Duplicate concurrent compiles are harmless: compilation
 // is deterministic and the last store wins.
 var encKernelCache sync.Map // encKernelKey -> *encKernel
+
+// encSlots hands out encKernel.slot values.
+var encSlots atomic.Int32
 
 // encKernelFor returns the compiled encode kernel for t under mode,
 // compiling (and publishing) it on first use.
@@ -77,7 +98,7 @@ func compileEnc(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]
 	if k, ok := session[t]; ok {
 		return k
 	}
-	k := &encKernel{t: t}
+	k := &encKernel{t: t, slot: int(encSlots.Add(1) - 1)}
 	session[t] = k
 
 	switch t.Kind() {
@@ -115,6 +136,42 @@ func compileEnc(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]
 	return k
 }
 
+// kernelFor returns the compiled encode kernel for t under the encoder's
+// access mode. The last lookup is memoized, so a run of values of one type
+// costs a pointer compare each, not a cache load.
+func (e *Encoder) kernelFor(t reflect.Type) *encKernel {
+	if k := e.lastK; k != nil && k.t == t {
+		return k
+	}
+	k := encKernelFor(t, e.opts.Access)
+	e.lastK = k
+	return k
+}
+
+// encodeKernelType emits the type descriptor of k's type. The first use of
+// the slot in a stream goes through encodeType, so the table-definition
+// bytes are exactly the generic encoder's; later uses are a slice index.
+// Kernels run on engine V2 only, where every emitted type gets a table
+// entry.
+func (e *Encoder) encodeKernelType(k *encKernel) error {
+	if k.slot < len(e.typeSlots) {
+		if idx := e.typeSlots[k.slot]; idx != 0 {
+			if err := e.w.writeByte(dTableRef); err != nil {
+				return err
+			}
+			return e.w.writeUint(uint64(idx - 1))
+		}
+	}
+	if err := e.encodeType(k.t); err != nil {
+		return err
+	}
+	if k.slot >= len(e.typeSlots) {
+		e.typeSlots = append(e.typeSlots, make([]int32, k.slot+1-len(e.typeSlots))...)
+	}
+	e.typeSlots[k.slot] = int32(e.typeTable[k.t] + 1)
+	return nil
+}
+
 // registerObj assigns the next object ID to v's identity and records the
 // (detached) reference in the linear map.
 func (e *Encoder) registerObj(ident graph.Ident, v reflect.Value) {
@@ -147,16 +204,15 @@ func compileEncInterface(k *encKernel) {
 		if v.IsNil() {
 			return e.w.writeByte(tagNil)
 		}
-		// The dynamic type is only known at run time: one cache load here,
-		// then straight-line code below it.
+		// The dynamic type is only known at run time: resolved through the
+		// encoder's memo, then straight-line code below it.
 		elem := v.Elem()
-		return encKernelFor(elem.Type(), e.opts.Access).enc(e, elem, depth+1)
+		return e.kernelFor(elem.Type()).enc(e, elem, depth+1)
 	}
 }
 
 func compileEncPtr(k *encKernel, t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) {
 	elemK := compileEnc(t.Elem(), mode, session)
-	elemT := t.Elem()
 	k.enc = func(e *Encoder, v reflect.Value, depth int) error {
 		if depth > maxEncodeDepth {
 			return graph.ErrDepthExceeded
@@ -175,7 +231,7 @@ func compileEncPtr(k *encKernel, t reflect.Type, mode graph.AccessMode, session 
 		if err := e.w.writeByte(tagPtr); err != nil {
 			return err
 		}
-		if err := e.encodeType(elemT); err != nil {
+		if err := e.encodeKernelType(elemK); err != nil {
 			return err
 		}
 		return elemK.enc(e, v.Elem(), depth+1)
@@ -221,7 +277,7 @@ func compileEncMap(k *encKernel, t reflect.Type, mode graph.AccessMode, session 
 		if err := e.w.writeByte(tagMap); err != nil {
 			return err
 		}
-		if err := e.encodeType(t); err != nil {
+		if err := e.encodeKernelType(k); err != nil {
 			return err
 		}
 		return k.encElems(e, v, depth)
@@ -253,7 +309,7 @@ func compileEncSlice(k *encKernel, t reflect.Type, mode graph.AccessMode, sessio
 		if err := e.w.writeByte(tagSlice); err != nil {
 			return err
 		}
-		if err := e.encodeType(t); err != nil {
+		if err := e.encodeKernelType(k); err != nil {
 			return err
 		}
 		if err := e.w.writeUint(uint64(v.Len())); err != nil {
@@ -270,6 +326,7 @@ func compileEncSlice(k *encKernel, t reflect.Type, mode graph.AccessMode, sessio
 // bytes are identical to the generic loop's.
 func compileEncSliceElems(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) encOp {
 	et := t.Elem()
+	elemK := compileEnc(et, mode, session)
 	if et.Kind() == reflect.Uint8 {
 		return func(e *Encoder, v reflect.Value, depth int) error {
 			if v.Len() > 0 && depth+1 > maxEncodeDepth {
@@ -279,7 +336,7 @@ func compileEncSliceElems(t reflect.Type, mode graph.AccessMode, session map[ref
 				if err := e.w.writeByte(tagScalar); err != nil {
 					return err
 				}
-				if err := e.encodeType(et); err != nil {
+				if err := e.encodeKernelType(elemK); err != nil {
 					return err
 				}
 				if err := e.w.writeUint(uint64(b)); err != nil {
@@ -299,7 +356,7 @@ func compileEncSliceElems(t reflect.Type, mode graph.AccessMode, session map[ref
 				if err := e.w.writeByte(tagScalar); err != nil {
 					return err
 				}
-				if err := e.encodeType(et); err != nil {
+				if err := e.encodeKernelType(elemK); err != nil {
 					return err
 				}
 				if err := payload(e, v.Index(i)); err != nil {
@@ -309,7 +366,6 @@ func compileEncSliceElems(t reflect.Type, mode graph.AccessMode, session map[ref
 			return nil
 		}
 	}
-	elemK := compileEnc(et, mode, session)
 	return func(e *Encoder, v reflect.Value, depth int) error {
 		for i, n := 0, v.Len(); i < n; i++ {
 			if err := elemK.enc(e, v.Index(i), depth+1); err != nil {
@@ -360,7 +416,7 @@ func compileEncStruct(k *encKernel, t reflect.Type, mode graph.AccessMode, sessi
 		if err := e.w.writeByte(tagStruct); err != nil {
 			return err
 		}
-		if err := e.encodeType(t); err != nil {
+		if err := e.encodeKernelType(k); err != nil {
 			return err
 		}
 		sv := graph.Launder(v)
@@ -395,7 +451,7 @@ func compileEncArray(k *encKernel, t reflect.Type, mode graph.AccessMode, sessio
 		if err := e.w.writeByte(tagArray); err != nil {
 			return err
 		}
-		if err := e.encodeType(t); err != nil {
+		if err := e.encodeKernelType(k); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -416,7 +472,7 @@ func compileEncScalar(k *encKernel, t reflect.Type) {
 		if err := e.w.writeByte(tagScalar); err != nil {
 			return err
 		}
-		if err := e.encodeType(t); err != nil {
+		if err := e.encodeKernelType(k); err != nil {
 			return err
 		}
 		return payload(e, v)

@@ -35,12 +35,17 @@ func AcquireEncoder(w io.Writer, opts Options) *Encoder {
 	if e == nil {
 		return NewEncoder(w, opts)
 	}
+	e.rebind(w, opts)
+	return e
+}
+
+// rebind points a reset encoder at a new stream.
+func (e *Encoder) rebind(w io.Writer, opts Options) {
 	o := opts.withDefaults()
 	e.w.reset(w, o.Engine)
 	e.opts = o
 	e.headerDone = false
 	e.kernels = o.kernelsEnabled()
-	return e
 }
 
 // ReleaseEncoder resets e and returns it to the pool. Passing nil is a
@@ -49,9 +54,21 @@ func ReleaseEncoder(e *Encoder) {
 	if e == nil {
 		return
 	}
+	e.reset()
+	encoderPool.Put(e)
+}
+
+// reset drops every per-stream table and the caller's objects and writer,
+// keeping capacity for the next stream.
+func (e *Encoder) reset() {
 	clear(e.ids)
 	clear(e.typeTable)
 	clear(e.strTable)
+	// The slot map mirrors typeTable, so it empties with it; the next
+	// stream may also run under another access mode, so the kernel memo
+	// goes too.
+	clear(e.typeSlots)
+	e.lastK = nil
 	// Zero the detached reference cells — dropping the user's objects — but
 	// keep them parked in the table's capacity for appendObj to reuse.
 	// Cells beyond len were already zeroed by an earlier release.
@@ -62,7 +79,6 @@ func ReleaseEncoder(e *Encoder) {
 	}
 	e.objs = e.objs[:0]
 	e.w.reset(nil, e.opts.Engine) // do not retain the caller's writer
-	encoderPool.Put(e)
 }
 
 var decoderPool = sync.Pool{New: func() any { return nil }}
@@ -75,15 +91,22 @@ func AcquireDecoder(r io.Reader, opts Options) *Decoder {
 	if d == nil {
 		return NewDecoder(r, opts)
 	}
-	o := opts.withDefaults()
+	o := d.rebind(opts)
 	d.r.reset(r, o.MaxElems)
+	return d
+}
+
+// rebind readies a reset decoder for a new stream; the caller points its
+// reader at the input.
+func (d *Decoder) rebind(opts Options) Options {
+	o := opts.withDefaults()
 	d.opts = o
 	d.headerDone = false
 	d.engine = 0
 	d.access = 0
 	d.kernels = false
 	d.numSeeded = 0
-	return d
+	return o
 }
 
 // AcquireDecoderBytes returns a pooled Decoder reading an in-memory
@@ -95,14 +118,8 @@ func AcquireDecoderBytes(data []byte, opts Options) *Decoder {
 	if d == nil {
 		return NewDecoderBytes(data, opts)
 	}
-	o := opts.withDefaults()
+	o := d.rebind(opts)
 	d.r.resetBytes(data, o.MaxElems)
-	d.opts = o
-	d.headerDone = false
-	d.engine = 0
-	d.access = 0
-	d.kernels = false
-	d.numSeeded = 0
 	return d
 }
 
@@ -112,6 +129,13 @@ func ReleaseDecoder(d *Decoder) {
 	if d == nil {
 		return
 	}
+	d.reset()
+	decoderPool.Put(d)
+}
+
+// reset drops every per-stream table, the decoded objects and the
+// caller's reader, keeping capacity for the next stream.
+func (d *Decoder) reset() {
 	// Releasing the arena only drops the slab references: objects the caller
 	// extracted stay alive through ordinary reachability.
 	d.ReleaseArena()
@@ -121,8 +145,9 @@ func ReleaseDecoder(d *Decoder) {
 	d.table = d.table[:0]
 	clear(d.typeTable)
 	d.typeTable = d.typeTable[:0]
+	clear(d.typeKern)
+	d.typeKern = d.typeKern[:0]
 	clear(d.strTable)
 	d.strTable = d.strTable[:0]
 	d.r.reset(nil, d.opts.MaxElems) // do not retain the caller's reader
-	decoderPool.Put(d)
 }

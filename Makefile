@@ -36,8 +36,8 @@ ci: build
 		echo "lint exceeded its 30s runtime budget" >&2; exit 1; \
 	fi
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'TestV3|TestV2Client|TestQuickRemoteEqualsLocal|TestRestoreSet|TestKernel|TestRestoreAllocs' ./internal/wire/ ./internal/core/ ./internal/rmi/
-	$(GO) test -race -count=1 -run 'TestAsync|TestOneWay|TestBatch' ./internal/rmi/
+	$(GO) test -race -count=1 -run 'TestV3|TestV2Client|TestQuickRemoteEqualsLocal|TestRestoreSet|TestKernel|TestRestoreAllocs|TestMalformedHeader|TestUnknownEngine|TestUnsafeNonAddressable' ./internal/wire/ ./internal/core/ ./internal/rmi/
+	$(GO) test -race -count=1 -run 'TestAsync|TestOneWay|TestBatch|TestPathEquivalence' ./internal/rmi/
 	$(GO) run ./cmd/nrmi-vet -format sarif ./... > nrmi-vet.sarif
 	@echo "wrote nrmi-vet.sarif"
 

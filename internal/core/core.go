@@ -106,9 +106,6 @@ type Options struct {
 	// programs + pooling" from "cached reflection metadata" in the
 	// ablation; see wire.Options.DisableKernels.
 	DisableKernels bool
-	// DisableEngineV3 makes this endpoint's decoders reject engine-V3
-	// streams exactly like a pre-V3 peer; see wire.Options.DisableEngineV3.
-	DisableEngineV3 bool
 }
 
 func (o Options) wireOptions() wire.Options {
@@ -119,7 +116,6 @@ func (o Options) wireOptions() wire.Options {
 		MaxElems:         o.MaxElems,
 		DisablePlanCache: o.DisablePlanCache,
 		DisableKernels:   o.DisableKernels,
-		DisableEngineV3:  o.DisableEngineV3,
 	}
 }
 

@@ -20,9 +20,26 @@ func launder(v reflect.Value) reflect.Value {
 		return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 	}
 	// Unreachable by construction: read-only values only arise from
-	// unexported fields, and every struct is laundered before its fields
-	// are visited, so a read-only, non-addressable value cannot appear.
+	// unexported fields, and every struct goes through structForRead
+	// before its fields are visited, which makes it addressable whenever
+	// its unexported fields are read, so a read-only, non-addressable
+	// value cannot appear.
 	panic(fmt.Sprintf("graph: cannot launder non-addressable read-only %s", v.Type()))
+}
+
+// structForRead returns struct value v prepared for reading its fields
+// under mode. launder re-derives an unexported field from its address, so
+// under AccessUnsafe a struct Go does not make addressable (a map value,
+// an interface's dynamic value) is first copied into an addressable
+// temporary. AccessExported never reads unexported fields and never pays
+// for the copy.
+func structForRead(v reflect.Value, mode AccessMode) reflect.Value {
+	if mode == AccessUnsafe && !v.CanAddr() {
+		tmp := reflect.New(v.Type()).Elem()
+		tmp.Set(v)
+		return tmp
+	}
+	return launder(v)
 }
 
 // fieldForRead returns the i-th field of struct value sv prepared for

@@ -158,7 +158,7 @@ func (c *Copier) copyValue(v reflect.Value, depth int) (reflect.Value, error) {
 		return out, nil
 
 	case reflect.Struct:
-		src := launder(v)
+		src := structForRead(v, c.Access)
 		out := reflect.New(v.Type()).Elem()
 		for i := 0; i < src.NumField(); i++ {
 			f, ok, err := fieldForRead(src, i, c.Access)

@@ -79,7 +79,7 @@ func (e *equaler) equal(a, b reflect.Value, depth int) (bool, error) {
 		return e.equalContents(a, b, depth)
 
 	case reflect.Struct:
-		sa, sb := launder(a), launder(b)
+		sa, sb := structForRead(a, e.access), structForRead(b, e.access)
 		for i := 0; i < sa.NumField(); i++ {
 			fa, oka, err := fieldForRead(sa, i, e.access)
 			if err != nil {
@@ -246,7 +246,7 @@ func (s *shallow) eq(a, b reflect.Value, depth int) (bool, error) {
 		}
 		return s.pair(a, b), nil
 	case reflect.Struct:
-		sa, sb := launder(a), launder(b)
+		sa, sb := structForRead(a, s.access), structForRead(b, s.access)
 		for i := 0; i < sa.NumField(); i++ {
 			fa, oka, err := fieldForRead(sa, i, s.access)
 			if err != nil {

@@ -20,6 +20,11 @@ func IsIdentityKind(k reflect.Kind) bool { return isIdentityKind(k) }
 // through reflection. See the package comment for the Java Unsafe analogy.
 func Launder(v reflect.Value) reflect.Value { return launder(v) }
 
+// StructForRead returns struct value v prepared for reading its fields
+// under mode: laundered and, under AccessUnsafe, addressable (a map value
+// or interface content is copied into a temporary first).
+func StructForRead(v reflect.Value, mode AccessMode) reflect.Value { return structForRead(v, mode) }
+
 // FieldForRead returns the i-th field of struct value sv prepared for
 // reading under mode. ok is false when the field is skipped (zero-valued
 // unexported field in AccessExported mode).

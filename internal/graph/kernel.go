@@ -596,7 +596,7 @@ func compileStruct(k *kernel, t reflect.Type, mode AccessMode, session map[refle
 		if depth > maxDepth {
 			return ErrDepthExceeded
 		}
-		sv := launder(v)
+		sv := structForRead(v, mode)
 		for i := range fields {
 			f := &fields[i]
 			fv := sv.Field(f.index)
@@ -621,7 +621,7 @@ func compileStruct(k *kernel, t reflect.Type, mode AccessMode, session map[refle
 		if depth > maxDepth {
 			return reflect.Value{}, ErrDepthExceeded
 		}
-		src := launder(v)
+		src := structForRead(v, mode)
 		out := reflect.New(t).Elem()
 		for i := range fields {
 			f := &fields[i]
@@ -651,7 +651,7 @@ func compileStruct(k *kernel, t reflect.Type, mode AccessMode, session map[refle
 		if depth > maxDepth {
 			return false, ErrDepthExceeded
 		}
-		sa, sb := launder(a), launder(b)
+		sa, sb := structForRead(a, mode), structForRead(b, mode)
 		for i := range fields {
 			f := &fields[i]
 			switch {

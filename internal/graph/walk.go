@@ -121,7 +121,7 @@ func (w *Walker) visit(v reflect.Value, depth int) error {
 		return w.visit(v.Elem(), depth+1)
 
 	case reflect.Struct:
-		sv := launder(v)
+		sv := structForRead(v, w.Access)
 		for i := 0; i < sv.NumField(); i++ {
 			f, ok, err := fieldForRead(sv, i, w.Access)
 			if err != nil {

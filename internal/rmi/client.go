@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 	"nrmi/internal/obs"
 	"nrmi/internal/registry"
 	"nrmi/internal/transport"
-	"nrmi/internal/wire"
 )
 
 // Dialer opens a connection to a named endpoint. netsim.Network.Dial and a
@@ -50,14 +48,6 @@ type Client struct {
 	// without restorable arguments never take it.
 	commitMu sync.Mutex
 
-	// engineMu guards v2Peers: addresses whose servers rejected an
-	// engine-V3 request header ("unknown engine"). Later calls to such an
-	// address encode V2 immediately instead of paying a rejected round
-	// trip per call. The cache is per-Client, like the connection pool: a
-	// peer upgrade is picked up by the next fresh client.
-	engineMu sync.Mutex
-	v2Peers  map[string]bool
-
 	// metrics is the cumulative counter block behind Metrics().
 	metrics clientMetrics
 }
@@ -76,7 +66,6 @@ func NewClient(dialer Dialer, opts Options) (*Client, error) {
 		dialer:   dialer,
 		conns:    make(map[string]*transport.Conn),
 		retryRng: rand.New(rand.NewSource(seed)),
-		v2Peers:  make(map[string]bool),
 	}, nil
 }
 
@@ -206,117 +195,171 @@ func (st *Stub) CallStats(ctx context.Context, method string, args ...any) (*cor
 }
 
 // reqBufPool recycles request encode buffers across calls; a buffer is
-// reset and returned once invoke has finished (re)sending its bytes.
+// reset and returned once its call has settled.
 var reqBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// callStats performs the actual invocation: doCall under a per-call
-// observability collector and the client counter block.
+// callStats runs one synchronous call: the promise pipeline, issued and
+// then awaited on the caller's goroutine with no Promise handed out.
 func (st *Stub) callStats(ctx context.Context, method string, args ...any) (*core.Response, error) {
-	c := st.c
-	oc := obs.Begin(c.opts.Obs, st.object, method)
-	resp, err := st.doCall(ctx, oc, method, args...)
-	var received int64
-	if resp != nil {
-		received = resp.BytesReceived
-	}
-	c.noteCall(received, err)
-	oc.Finish(err)
+	inv := invocation{st: st, method: method, oc: obs.Begin(st.c.opts.Obs, st.object, method)}
+	resp, err := inv.run(ctx, args)
+	inv.finish(resp, err)
 	return resp, err
 }
 
-// doCall is the invocation body, plus the engine-negotiation shell: a call
-// encoded with engine V3 that a pre-V3 peer rejects at the stream header
-// ("unknown engine") is re-encoded with V2 and re-sent exactly once — safe
-// because the rejection provably precedes argument decoding, let alone
-// execution — and the address is remembered so later calls start at V2.
-// This mirrors the flag-gated deadline-frame negotiation in the transport.
-func (st *Stub) doCall(ctx context.Context, oc *obs.Call, method string, args ...any) (*core.Response, error) {
-	c := st.c
-	coreOpts := c.opts.Core
-	if coreOpts.Engine == wire.EngineV3 && c.peerLacksV3(st.addr) {
-		coreOpts.Engine = wire.EngineV2
-	}
-	resp, err := st.doCallEngine(ctx, oc, method, coreOpts, args)
-	if err != nil && coreOpts.Engine == wire.EngineV3 && isUnknownEngineReject(err) {
-		c.noteV2Fallback(st.addr)
-		coreOpts.Engine = wire.EngineV2
-		resp, err = st.doCallEngine(ctx, oc, method, coreOpts, args)
-	}
-	return resp, err
+// invocation is one client call from encode to settlement, the state
+// behind all three entry points: Call runs it to completion on the
+// caller's goroutine, CallAsync hands it to a Promise after the first
+// send, and CallOneWay runs it with the one-way send and no reply.
+// Arguments are encoded exactly once; every attempt re-sends the
+// identical request bytes, so a retried call can never ship different
+// state than the original.
+type invocation struct {
+	st     *Stub
+	method string
+	oc     *obs.Call // nil when observability is disabled
+	oneWay bool
+
+	call *core.Call
+	req  *bytes.Buffer
+
+	// pc is the transport half of the current attempt; sendErr is the
+	// send failure when the attempt never got a pending call. A one-way
+	// attempt never gets one: its send is the whole attempt.
+	pc      *transport.PendingCall
+	sendErr error
+	sentAt  time.Time
+	attempt int
 }
 
-// peerLacksV3 reports whether addr previously rejected an engine-V3 stream.
-func (c *Client) peerLacksV3(addr string) bool {
-	c.engineMu.Lock()
-	defer c.engineMu.Unlock()
-	return c.v2Peers[addr]
-}
-
-// noteV2Fallback records that addr cannot decode engine V3.
-func (c *Client) noteV2Fallback(addr string) {
-	c.engineMu.Lock()
-	c.v2Peers[addr] = true
-	c.engineMu.Unlock()
-	c.metrics.engineFallbacks.Add(1)
-}
-
-// isUnknownEngineReject reports whether err is a server-side rejection of
-// the request's wire engine: a remote application error whose cause is the
-// stream-header "unknown engine" failure. Only that exact failure is a
-// negotiation signal; it happens before the server decodes any argument,
-// so re-sending under an older engine cannot double-execute anything.
-func isUnknownEngineReject(err error) bool {
-	var remote *transport.RemoteError
-	return errors.As(err, &remote) && strings.Contains(remote.Msg, "unknown engine")
-}
-
-// doCallEngine performs one invocation under the given core options.
-// Arguments are encoded exactly once; the retry layer (invoke) re-sends the
-// identical request bytes, so a retried call can never ship different state
-// than the original. oc may be nil (observability disabled).
-func (st *Stub) doCallEngine(ctx context.Context, oc *obs.Call, method string, coreOpts core.Options, args []any) (*core.Response, error) {
-	c := st.c
-	marshalStart := time.Now()
-	req := reqBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		req.Reset()
-		reqBufPool.Put(req)
-	}()
-	call := core.NewCall(req, coreOpts)
-	defer call.Release()
-	call.SetObs(oc)
-	oc.SetKernels(coreOpts.KernelsEnabled())
-
-	sp := oc.Start(obs.PhaseEncode)
-	err := st.encodeRequest(call, method, args)
-	sp.EndBytes(int64(req.Len()))
+// run is a blocking call: encode, send, await the reply under the retry
+// policy, then apply it (one-way calls stop once a send succeeds).
+func (inv *invocation) run(ctx context.Context, args []any) (*core.Response, error) {
+	sp := inv.oc.Start(obs.PhaseEncode)
+	err := inv.encode(args)
+	sp.EndBytes(int64(inv.req.Len()))
 	if err != nil {
 		return nil, err
 	}
-	if call.NumRestorable() > 0 {
-		// Synchronous calls take the same commit lock as promises, so a
-		// sync call racing a promise consumption cannot interleave
-		// overwrites either.
-		call.SetCommitLock(&c.commitMu)
-	}
-	c.opts.Host.Charge(time.Since(marshalStart))
-	c.metrics.bytesSent.Add(int64(req.Len()))
-
-	sp = oc.Start(obs.PhaseTransport)
-	payload, err := st.invoke(ctx, req.Bytes())
+	sp = inv.oc.Start(obs.PhaseTransport)
+	inv.send(ctx)
+	payload, err := inv.await(ctx)
 	sp.EndBytes(int64(len(payload)))
-	if err != nil {
+	if err != nil || inv.oneWay {
 		return nil, err
 	}
-	oc.SetIO(int64(len(payload)), int64(req.Len()))
+	return inv.apply(payload)
+}
 
-	// Response bytes are consumed from here on: whatever happens, this
-	// call is never re-sent (exactly-once restore). ApplyResponseBytes
-	// validates fully before mutating, so a failure below still leaves the
-	// caller's graph untouched — but it is not safe to re-run, and the
-	// error says so.
-	unmarshalStart := time.Now()
-	resp, err := call.ApplyResponseBytes(payload)
+// encode writes the request into a pooled buffer under the client's
+// configured engine. The linear map snapshots the argument graphs here,
+// at issue time.
+func (inv *invocation) encode(args []any) error {
+	c := inv.st.c
+	start := time.Now()
+	inv.req = reqBufPool.Get().(*bytes.Buffer)
+	inv.call = core.NewCall(inv.req, c.opts.Core)
+	inv.call.SetObs(inv.oc)
+	inv.oc.SetKernels(c.opts.Core.KernelsEnabled())
+	if err := inv.st.encodeRequest(inv.call, inv.method, args); err != nil {
+		return err
+	}
+	if inv.call.NumRestorable() > 0 {
+		// Serialize this call's restore commit against every other call
+		// on the client, sync or async; see the commit-ordering rules in
+		// promise.go.
+		inv.call.SetCommitLock(&c.commitMu)
+	}
+	c.opts.Host.Charge(time.Since(start))
+	c.metrics.bytesSent.Add(int64(inv.req.Len()))
+	return nil
+}
+
+// send starts one attempt over the pooled connection; a connection found
+// dead is evicted and re-dialed first. A failure is recorded in sendErr
+// and surfaces through await, keeping retry classification in one place.
+func (inv *invocation) send(ctx context.Context) {
+	c := inv.st.c
+	inv.attempt++
+	c.metrics.attempts.Add(1)
+	if inv.attempt > 1 {
+		c.metrics.retries.Add(1)
+	}
+	inv.pc = nil
+	sctx, cancel := ctx, func() {}
+	if ct := c.opts.CallTimeout; ct > 0 {
+		// The attempt deadline ships with the frame as the server-side
+		// budget; the client-side half is re-derived from sentAt in
+		// awaitAttempt, so a promise's Wait can come long after send.
+		sctx, cancel = context.WithTimeout(ctx, ct)
+	}
+	tc, err := c.conn(inv.st.addr)
+	if err == nil {
+		if inv.oneWay {
+			err = tc.CallOneWay(sctx, transport.MsgCall, inv.req.Bytes())
+		} else {
+			inv.pc, err = tc.Start(sctx, transport.MsgCall, inv.req.Bytes())
+		}
+	}
+	cancel()
+	inv.sentAt = time.Now()
+	inv.sendErr = err
+}
+
+// await drives the call to its reply payload: it waits for the current
+// attempt and, after each failure the retry policy allows re-sending,
+// backs off and sends again. This is the client's only retry loop. A
+// one-way call succeeds once its frame is written, with a nil payload.
+func (inv *invocation) await(ctx context.Context) ([]byte, error) {
+	c := inv.st.c
+	pol := c.opts.Retry.withDefaults()
+	attempts := max(pol.MaxAttempts, 1)
+	for {
+		payload, err := inv.awaitAttempt(ctx)
+		if err == nil {
+			return payload, nil
+		}
+		if inv.attempt >= attempts || !Retryable(err) || ctx.Err() != nil {
+			return nil, err
+		}
+		pause := time.NewTimer(c.backoff(pol, inv.attempt))
+		select {
+		case <-pause.C:
+		case <-ctx.Done():
+			pause.Stop()
+			return nil, err
+		}
+		inv.send(ctx)
+	}
+}
+
+// awaitAttempt blocks for the current attempt's reply under the caller's
+// context plus the per-attempt CallTimeout (measured from the send). A
+// context expiry abandons the pending call, so the pooled reply payload
+// is released exactly once whichever way the race goes.
+func (inv *invocation) awaitAttempt(ctx context.Context) ([]byte, error) {
+	if inv.pc == nil {
+		return nil, inv.sendErr
+	}
+	actx, cancel := ctx, func() {}
+	if ct := inv.st.c.opts.CallTimeout; ct > 0 {
+		actx, cancel = context.WithDeadline(ctx, inv.sentAt.Add(ct))
+	}
+	payload, err := inv.pc.Wait(actx)
+	cancel()
+	inv.pc = nil
+	return payload, err
+}
+
+// apply consumes the reply payload into the caller's graph. From here the
+// call is never re-sent: ApplyResponseBytes validates fully before
+// mutating (a failure leaves the graph bit-identical), and the error
+// wraps as ResponseConsumedError, which Retryable refuses.
+func (inv *invocation) apply(payload []byte) (*core.Response, error) {
+	c := inv.st.c
+	inv.oc.SetIO(int64(len(payload)), int64(inv.req.Len()))
+	start := time.Now()
+	resp, err := inv.call.ApplyResponseBytes(payload)
 	// The pooled payload's ownership extends through the restore commit:
 	// under engine V3 the content records are validated and committed
 	// straight out of these bytes (zero-copy), so the release must not
@@ -325,10 +368,31 @@ func (st *Stub) doCallEngine(ctx context.Context, oc *obs.Call, method string, c
 	// dropped), so the payload goes back regardless of the outcome.
 	c.releasePayload(payload)
 	if err != nil {
-		return nil, &ResponseConsumedError{Method: method, Err: err}
+		return nil, &ResponseConsumedError{Method: inv.method, Err: err}
 	}
-	c.opts.Host.Charge(time.Since(unmarshalStart))
+	c.opts.Host.Charge(time.Since(start))
 	return resp, nil
+}
+
+// finish records the settled outcome and returns the pooled encoder state
+// and request buffer.
+func (inv *invocation) finish(resp *core.Response, err error) {
+	var received int64
+	if resp != nil {
+		received = resp.BytesReceived
+	}
+	inv.st.c.noteCall(received, err)
+	inv.oc.Finish(err)
+	if inv.call != nil {
+		inv.call.Release()
+		inv.call = nil
+	}
+	if inv.req != nil {
+		inv.req.Reset()
+		reqBufPool.Put(inv.req)
+		inv.req = nil
+	}
+	inv.oc = nil
 }
 
 // encodeRequest writes the call header and arguments onto the request

@@ -1,18 +1,20 @@
 package rmi
 
-// Cross-engine negotiation: a V3 client must interoperate with a V2-only
-// peer (one-shot downgrade keyed on the "unknown engine" header rejection,
-// cached per address) and a V2 client must get V2 replies from a server
-// whose default engine is V3 (the server answers in the request's engine).
+// Cross-engine interop: a V2 client must get V2 replies from a server
+// whose default engine is V3 (the server answers in the request's
+// engine), and a request whose stream header names an engine the server
+// does not implement is refused before any argument is decoded.
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"nrmi/internal/bufpool"
 	"nrmi/internal/core"
 	"nrmi/internal/netsim"
+	"nrmi/internal/transport"
 	"nrmi/internal/wire"
 )
 
@@ -67,7 +69,7 @@ func assertFigure2RTree(t *testing.T, root, a1, a2, rl, rr *RTree) {
 }
 
 // TestV3EndToEnd: both ends speak V3; the paper's mutation restores
-// correctly over the real stack with no fallback.
+// correctly over the real stack.
 func TestV3EndToEnd(t *testing.T) {
 	v3 := core.Options{Engine: wire.EngineV3}
 	e := newEngineEnv(t, v3, v3)
@@ -77,40 +79,6 @@ func TestV3EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertFigure2RTree(t, root, a1, a2, rl, rr)
-	if fb := e.client.Metrics().EngineFallbacks; fb != 0 {
-		t.Fatalf("EngineFallbacks = %d between matched V3 peers", fb)
-	}
-}
-
-// TestV3ClientFallsBackToV2Peer: the server cannot decode V3; the client's
-// first call is rejected at the stream header, re-encoded as V2, and
-// retried. The downgrade is cached, so the fallback counter moves once no
-// matter how many calls follow.
-func TestV3ClientFallsBackToV2Peer(t *testing.T) {
-	e := newEngineEnv(t,
-		core.Options{DisableEngineV3: true},
-		core.Options{Engine: wire.EngineV3})
-	stub := e.client.Stub("server", "trees")
-
-	root, a1, a2, rl, rr := paperRTree()
-	if _, err := stub.Call(context.Background(), "Foo", root); err != nil {
-		t.Fatalf("negotiated call failed: %v", err)
-	}
-	// The downgraded call must still deliver full copy-restore semantics.
-	assertFigure2RTree(t, root, a1, a2, rl, rr)
-
-	for i := 0; i < 5; i++ {
-		root2, _, _, _, _ := paperRTree()
-		if _, err := stub.Call(context.Background(), "Foo", root2); err != nil {
-			t.Fatalf("call %d after downgrade: %v", i, err)
-		}
-	}
-	if fb := e.client.Metrics().EngineFallbacks; fb != 1 {
-		t.Fatalf("EngineFallbacks = %d, want 1 (downgrade cached per address)", fb)
-	}
-	if calls := e.service.Calls(); calls != 6 {
-		t.Fatalf("service saw %d calls, want 6 (header rejection precedes execution)", calls)
-	}
 }
 
 // TestV2ClientAgainstV3Server: the server's own default engine is V3, but
@@ -125,8 +93,44 @@ func TestV2ClientAgainstV3Server(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertFigure2RTree(t, root, a1, a2, rl, rr)
-	if fb := e.client.Metrics().EngineFallbacks; fb != 0 {
-		t.Fatalf("EngineFallbacks = %d for a V2 client", fb)
+}
+
+// TestUnknownEngineRequestRejected: a request frame whose stream header
+// names an engine the server does not implement comes back as a remote
+// error, and the method never runs. The request is a real encoded call
+// with only its engine byte replaced.
+func TestUnknownEngineRequestRejected(t *testing.T) {
+	e := newEngineEnv(t, core.Options{}, core.Options{})
+	stub := e.client.Stub("server", "trees")
+	root, _, _, _, _ := paperRTree()
+	inv := invocation{st: stub, method: "Foo"}
+	defer inv.finish(nil, nil)
+	if err := inv.encode([]any{root}); err != nil {
+		t.Fatal(err)
+	}
+	frame := inv.req.Bytes()
+	if frame[1] != byte(wire.EngineV2) {
+		t.Fatalf("request header % x: engine byte not at offset 1", frame[:3])
+	}
+	tc, err := e.client.conn("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []byte{0, 4, 255} {
+		frame[1] = eng
+		payload, err := tc.Call(context.Background(), transport.MsgCall, frame)
+		transport.ReleasePayload(payload)
+		var remote *transport.RemoteError
+		if !errors.As(err, &remote) {
+			t.Fatalf("engine %d: got %v (%T), want *transport.RemoteError", eng, err, err)
+		}
+	}
+	if n := e.service.Calls(); n != 0 {
+		t.Fatalf("service ran %d times for rejected requests", n)
+	}
+	// The connection stays usable: the rejection is per request.
+	if _, err := stub.Call(context.Background(), "Foo", root); err != nil {
+		t.Fatal(err)
 	}
 }
 

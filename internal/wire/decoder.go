@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -123,36 +124,38 @@ func (d *Decoder) header() error {
 	d.headerDone = true
 	b, err := d.r.readByte()
 	if err != nil {
-		return err
+		return truncatedHeader(err)
 	}
 	if b != headerMagic {
 		return fmt.Errorf("%w: bad magic 0x%02x", ErrBadStream, b)
 	}
 	eng, err := d.r.readByte()
 	if err != nil {
-		return err
+		return truncatedHeader(err)
 	}
-	switch Engine(eng) {
-	case EngineV1, EngineV2:
-	case EngineV3:
-		if d.opts.DisableEngineV3 {
-			// Reject with the exact error a pre-V3 peer produces, so the
-			// client-side engine fallback can be exercised against new
-			// binaries (see Options.DisableEngineV3).
-			return fmt.Errorf("%w: unknown engine %d", ErrBadStream, eng)
-		}
-	default:
+	// An engine this build does not implement is rejected before any
+	// payload byte is read.
+	if !Engine(eng).valid() {
 		return fmt.Errorf("%w: unknown engine %d", ErrBadStream, eng)
 	}
 	d.engine = Engine(eng)
 	acc, err := d.r.readByte()
 	if err != nil {
-		return err
+		return truncatedHeader(err)
 	}
 	d.access = graph.AccessMode(acc)
 	d.r.setEngine(d.engine)
 	d.kernels = d.engine == EngineV2 && !d.opts.DisablePlanCache && !d.opts.DisableKernels
 	return nil
+}
+
+// truncatedHeader reports a stream that ends inside its three-byte header
+// as ErrBadStream; any other read failure passes through unchanged.
+func truncatedHeader(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: truncated header: %w", ErrBadStream, err)
+	}
+	return err
 }
 
 // Decode reads one value.

@@ -360,7 +360,7 @@ func (e *Encoder) encodeSliceElems(v reflect.Value, depth int) error {
 }
 
 func (e *Encoder) encodeStructFields(v reflect.Value, depth int) error {
-	sv := graph.Launder(v)
+	sv := graph.StructForRead(v, e.opts.Access)
 	// V1 rebuilds the plan from raw reflection on every struct and ships
 	// field names; V2 uses the cached plan and a silent positional layout.
 	cached := e.opts.Engine == EngineV2 && !e.opts.DisablePlanCache

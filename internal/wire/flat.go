@@ -303,7 +303,7 @@ func (e *Encoder) flatValue(b []byte, v reflect.Value, depth int) ([]byte, error
 }
 
 func (e *Encoder) flatStructFields(b []byte, v reflect.Value, depth int) ([]byte, error) {
-	sv := graph.Launder(v)
+	sv := graph.StructForRead(v, e.opts.Access)
 	p := planFor(sv.Type(), e.opts.Access, !e.opts.DisablePlanCache)
 	if err := verifyZeroFields(sv, p); err != nil {
 		return b, err

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"nrmi/internal/graph"
@@ -295,7 +294,7 @@ func TestV3FlatContentSliceResize(t *testing.T) {
 	}
 }
 
-// --- engine validation and negotiation hooks ---
+// --- engine validation and header rejection ---
 
 func TestOptionsValidateEngine(t *testing.T) {
 	reg := testRegistry(t)
@@ -317,39 +316,57 @@ func TestOptionsValidateEngine(t *testing.T) {
 	}
 }
 
-// TestDisableEngineV3Rejection: a peer built with DisableEngineV3 must
-// reject the V3 stream header with the exact "unknown engine" shape the
-// client-side negotiation keys on, before decoding any argument bytes.
-func TestDisableEngineV3Rejection(t *testing.T) {
+// TestMalformedHeader: every stream whose three-byte header (magic,
+// engine, access) is wrong or cut short fails with ErrBadStream before
+// any payload byte is read, through both the streaming and the
+// in-memory decoder, and never panics.
+func TestMalformedHeader(t *testing.T) {
 	reg := testRegistry(t)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, Options{Engine: EngineV3, Registry: reg})
+	acc := byte(graph.AccessExported)
+	// A well-formed V2 body follows each header, so only the header can
+	// be at fault.
+	var body bytes.Buffer
+	enc := NewEncoder(&body, Options{Engine: EngineV2, Registry: reg})
 	if err := enc.Encode(&wnode{Data: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf, Options{Registry: reg, DisableEngineV3: true})
-	_, err := dec.Decode()
-	if !errors.Is(err, ErrBadStream) {
-		t.Fatalf("want ErrBadStream, got %v", err)
+	payload := body.Bytes()[3:]
+	withBody := func(hdr ...byte) []byte { return append(hdr, payload...) }
+
+	cases := []struct {
+		name   string
+		stream []byte
+	}{
+		{"empty stream", nil},
+		{"bad magic", withBody(headerMagic^0xff, byte(EngineV2), acc)},
+		{"engine 0", withBody(headerMagic, 0, acc)},
+		{"engine 4", withBody(headerMagic, 4, acc)},
+		{"engine 255", withBody(headerMagic, 255, acc)},
+		{"magic only", []byte{headerMagic}},
+		{"no access byte", []byte{headerMagic, byte(EngineV2)}},
 	}
-	if !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("rejection must carry the negotiation marker text, got %q", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			decoders := map[string]*Decoder{
+				"stream": NewDecoder(bytes.NewReader(tc.stream), Options{Registry: reg}),
+				"bytes":  NewDecoderBytes(tc.stream, Options{Registry: reg}),
+			}
+			for mode, dec := range decoders {
+				v, err := dec.Decode()
+				if !errors.Is(err, ErrBadStream) {
+					t.Errorf("%s decoder: got (%v, %v), want ErrBadStream", mode, v, err)
+				}
+			}
+		})
 	}
-	// V2 streams still decode on the same restricted peer.
-	var v2 bytes.Buffer
-	enc2 := NewEncoder(&v2, Options{Engine: EngineV2, Registry: reg})
-	if err := enc2.Encode(&wnode{Data: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec2 := NewDecoder(&v2, Options{Registry: reg, DisableEngineV3: true})
-	if _, err := dec2.Decode(); err != nil {
-		t.Fatalf("V2 must still decode with DisableEngineV3: %v", err)
+	// The same body behind a valid header decodes, so the table rejects
+	// headers, not payloads.
+	dec := NewDecoderBytes(withBody(headerMagic, byte(EngineV2), acc), Options{Registry: reg})
+	if _, err := dec.Decode(); err != nil {
+		t.Fatalf("valid header: %v", err)
 	}
 }
 

@@ -184,6 +184,11 @@ func (r *reader) reset(src io.Reader, maxElems int) {
 // resetBytes re-arms a pooled reader onto an in-memory message.
 func (r *reader) resetBytes(data []byte, maxElems int) {
 	r.reset(nil, maxElems)
+	if data == nil {
+		// data != nil is what selects bytes mode, so a nil message must
+		// read as an empty one, not as a stream with no source.
+		data = []byte{}
+	}
 	r.data = data
 }
 

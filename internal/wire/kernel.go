@@ -419,7 +419,7 @@ func compileEncStruct(k *encKernel, t reflect.Type, mode graph.AccessMode, sessi
 		if err := e.encodeKernelType(k); err != nil {
 			return err
 		}
-		sv := graph.Launder(v)
+		sv := graph.StructForRead(v, mode)
 		// All zero checks run before any field bytes, mirroring the generic
 		// verifyZeroFields-then-encode order.
 		for i := range zeroChecks {

@@ -125,13 +125,6 @@ type Options struct {
 	// per-type programs" in benchmarks. Kernels are only ever active on
 	// engine V2 with the plan cache enabled.
 	DisableKernels bool
-
-	// DisableEngineV3 makes a Decoder reject engine-V3 streams with the
-	// same "unknown engine" stream error a pre-V3 peer produces. It exists
-	// for negotiation tests and staged rollouts: a fleet can run new
-	// binaries that refuse V3 until every client's fallback path has been
-	// exercised, exactly like the flag-gated deadline frame extension.
-	DisableEngineV3 bool
 }
 
 // Validate reports a typed error for option values that name no implemented

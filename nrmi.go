@@ -108,8 +108,8 @@ type Engine = wire.Engine
 
 // Codec engine generations; V2 is the default. V1 exists for the
 // paper's JDK 1.3 baseline measurements; V3 is the flat-frame format
-// with zero-copy restore (docs/PROTOCOL.md §9) — endpoints mixing V3
-// callers with pre-V3 servers fall back to V2 automatically.
+// with zero-copy restore (docs/PROTOCOL.md §9). Every endpoint decodes
+// all three, and a server replies in the engine of the request.
 const (
 	EngineV1 = wire.EngineV1
 	EngineV2 = wire.EngineV2
@@ -137,11 +137,6 @@ type Options struct {
 	// Portable disables codec plan caching, modeling the paper's portable
 	// (pure reflection) implementation. For experiments only.
 	Portable bool
-	// DisableEngineV3 makes this endpoint reject inbound V3 streams
-	// exactly like a pre-V3 peer, triggering callers' automatic V2
-	// fallback. Useful for pinning mixed fleets to V2 during rollout and
-	// for negotiation experiments.
-	DisableEngineV3 bool
 	// Compress enables DEFLATE compression of frames above 1 KiB, a pure
 	// bandwidth/CPU trade each endpoint may enable independently.
 	Compress bool
@@ -292,7 +287,6 @@ func (o Options) rmiOptions() rmi.Options {
 			Policy:           policy,
 			Delta:            o.Delta,
 			DisablePlanCache: o.Portable,
-			DisableEngineV3:  o.DisableEngineV3,
 		},
 		WrapRef:            o.WrapRef,
 		Compress:           o.Compress,

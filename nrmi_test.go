@@ -116,6 +116,79 @@ func TestPublicAPIAllOptionCombos(t *testing.T) {
 	}
 }
 
+// Ledger is a restorable map whose values are structs with unexported
+// state, reachable under UnsafeAccess only through non-addressable map
+// values.
+type Ledger struct {
+	Accounts map[string]account
+}
+
+type account struct {
+	Owner   string
+	balance int
+}
+
+// NRMIRestorable marks Ledger for copy-restore.
+func (*Ledger) NRMIRestorable() {}
+
+// Bank mutates ledgers remotely.
+type Bank struct{}
+
+// Deposit credits who's account and returns the new balance.
+func (*Bank) Deposit(l *Ledger, who string, amount int) int {
+	a := l.Accounts[who]
+	a.balance += amount
+	l.Accounts[who] = a
+	return a.balance
+}
+
+func TestUnsafeAccessMapOfStructsRoundTrip(t *testing.T) {
+	for _, eng := range []nrmi.Engine{nrmi.EngineV2, nrmi.EngineV3} {
+		opts := nrmi.Options{Engine: eng, UnsafeAccess: true, Registry: nrmi.NewRegistry()}
+		for name, sample := range map[string]any{"Ledger": Ledger{}, "account": account{}} {
+			if err := opts.Registry.Register(name, sample); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := nrmi.NewServer(ln.Addr().String(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Export("bank", &Bank{}); err != nil {
+			t.Fatal(err)
+		}
+		srv.Serve(ln)
+		cl, err := nrmi.NewClient(nrmi.TCPDialer(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger := &Ledger{Accounts: map[string]account{
+			"ann": {Owner: "ann", balance: 10},
+			"bob": {Owner: "bob", balance: 5},
+		}}
+		accounts := ledger.Accounts // alias of the restored map
+		rets, err := cl.Stub(ln.Addr().String(), "bank").Call(context.Background(), "Deposit", ledger, "ann", 7)
+		if err != nil {
+			t.Fatalf("engine %v: %v", eng, err)
+		}
+		if rets[0].(int) != 17 {
+			t.Fatalf("engine %v: rets = %v", eng, rets)
+		}
+		if got := accounts["ann"]; got.Owner != "ann" || got.balance != 17 {
+			t.Fatalf("engine %v: restored ann = %+v, want balance 17", eng, got)
+		}
+		if got := accounts["bob"]; got.balance != 5 {
+			t.Fatalf("engine %v: restored bob = %+v, want balance 5", eng, got)
+		}
+		cl.Close()
+		srv.Close()
+	}
+}
+
 func TestRegistryServerStandalone(t *testing.T) {
 	reg := nrmi.NewRegistry()
 	if err := reg.Register("Vector", Vector{}); err != nil {
